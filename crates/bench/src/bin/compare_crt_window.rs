@@ -1,5 +1,5 @@
 //! Serving-path comparison: full-width multiply-always batch
-//! decryption (PR 1's `decrypt_batch` schedule) versus the windowed
+//! decryption (the original batched-decrypt schedule) versus the windowed
 //! full-width scan versus windowed batched **CRT** decryption, at 64
 //! lanes. Emits `BENCH_crt_window.json`.
 //!
@@ -10,7 +10,7 @@
 //!   square-and-multiply-always (the PR 1 baseline);
 //! * `full_window` — same engine, fixed-window scan at the
 //!   cost-model-picked width (isolates the windowing win);
-//! * `crt_window` — [`mmm_rsa::decrypt_crt_batch`]: two half-width
+//! * `crt_window` — [`mmm_rsa::KeyedSession::decrypt_crt`]: two half-width
 //!   windowed batch exponentiations recombined with Garner per lane
 //!   (the full serving path, pool-backed).
 //!
@@ -43,8 +43,8 @@ use mmm_core::batch::{BitSlicedBatch, MAX_LANES};
 use mmm_core::cios52::Cios52Kernel;
 use mmm_core::expo_window::best_fixed_window;
 use mmm_core::montgomery::MontgomeryParams;
-use mmm_core::{BatchModExp, EngineKind};
-use mmm_rsa::{decrypt_crt_batch, decrypt_crt_batch_with, sign_batch_with, RsaKeyPair};
+use mmm_core::{BatchModExp, EngineConfig, EngineKind};
+use mmm_rsa::{KeyedSession, RsaKeyPair};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -103,6 +103,11 @@ fn main() {
         let cs: Vec<Ubig> = ms.iter().map(|m| m.modpow(&key.e, &key.n)).collect();
         let ds = vec![key.d.clone(); MAX_LANES];
         let window = best_fixed_window(key.d.bit_len());
+        let session = |kind| {
+            KeyedSession::new(key.clone(), EngineConfig::default().with_backend(kind))
+                .expect("pooled params serve every backend")
+        };
+        let crt = session(EngineKind::default_kind());
 
         // Correctness gate: all three paths bit-identical to the
         // scalar oracle before any timing — and the backend-dispatch
@@ -119,13 +124,13 @@ fn main() {
                 "windowed oracle"
             );
             assert_eq!(
-                decrypt_crt_batch(&key, &cs),
+                crt.decrypt_crt(&cs).unwrap(),
                 ms,
                 "CRT oracle (default kind)"
             );
             for kind in EngineKind::ALL {
                 assert_eq!(
-                    decrypt_crt_batch_with(&key, &cs, kind),
+                    session(kind).decrypt_crt(&cs).unwrap(),
                     ms,
                     "CRT dispatch oracle ({})",
                     kind.name()
@@ -134,10 +139,10 @@ fn main() {
             // Signatures must agree bit-for-bit across *every*
             // backend (swept, not a hardcoded pair, so the next
             // EngineKind addition is gated automatically).
-            let sig_want = sign_batch_with(&key, &ms, EngineKind::ALL[0]);
+            let sig_want = session(EngineKind::ALL[0]).sign(&ms).unwrap();
             for kind in &EngineKind::ALL[1..] {
                 assert_eq!(
-                    sign_batch_with(&key, &ms, *kind),
+                    session(*kind).sign(&ms).unwrap(),
                     sig_want,
                     "sign dispatch cross-backend ({})",
                     kind.name()
@@ -156,7 +161,7 @@ fn main() {
         }) / MAX_LANES as f64;
 
         let crt_window_ns = time_ns_per_call(budget_ms, || {
-            black_box(decrypt_crt_batch(black_box(&key), black_box(&cs)));
+            black_box(crt.decrypt_crt(black_box(&cs)).unwrap());
         }) / MAX_LANES as f64;
 
         // Mixed traffic: per-lane random full-length exponents.

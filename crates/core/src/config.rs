@@ -76,8 +76,7 @@ pub enum WindowPolicy {
 /// branchless full-table sweep, every batch engine canonicalizes its
 /// output with a branchless final subtraction (results `< N`), the
 /// skip-when-all-zero fast path is disabled, and
-/// [`KeyedSession`](../../mmm_rsa/server/struct.KeyedSession.html)
-/// blinds CRT decryption. Results are **bit-identical** to `Off` mode
+/// `mmm_rsa::KeyedSession` blinds CRT decryption. Results are **bit-identical** to `Off` mode
 /// — only the instruction/access schedule changes (and a measured
 /// throughput tax, see BENCH_radix.json).
 ///

@@ -34,9 +34,9 @@
 //! pattern).
 //!
 //! Both leaks are closed when the bound engine reports
-//! [`HardeningMode::Hardened`] (DESIGN.md §12): the skip-when-all-zero
-//! optimization is disabled (every step multiplies, digit-0 lanes by
-//! `1̄`), and every secret-indexed table read is replaced by a
+//! [`HardeningMode::Hardened`](crate::config::HardeningMode::Hardened)
+//! (DESIGN.md §12): the skip-when-all-zero optimization is disabled
+//! (every step multiplies, digit-0 lanes by `1̄`), and every secret-indexed table read is replaced by a
 //! branchless **full-table sweep** — all `2^w` rows are loaded every
 //! time and masked-accumulated ([`mmm_bigint::ct::or_assign_masked`])
 //! so the memory trace is digit-independent. Results stay bit-identical
@@ -45,21 +45,20 @@
 //! (`mmm-rsa`'s session decryption) layers on top for defense in
 //! depth.
 //!
-//! [`modexp_many`] extends the batch to arbitrarily many lanes by
+//! [`try_modexp_many`] extends the batch to arbitrarily many lanes by
 //! sharding into 64-lane groups fanned out with rayon, each shard on a
 //! warm engine from the per-key [`crate::pool`] — the many-client
 //! serving path used by `mmm-rsa`'s batched sign/verify/decrypt.
 
 use crate::batch::MAX_LANES;
-use crate::config::{EngineConfig, HardeningMode, WindowPolicy};
-use crate::engine::EngineKind;
+use crate::config::{EngineConfig, WindowPolicy};
 use crate::error::{validate_reduced, MmmError};
 use crate::expo_window::best_fixed_window;
 use crate::montgomery::MontgomeryParams;
 use crate::pool;
 use crate::scan::{run_windowed_scan, ScalarSet, WindowScanClient};
 use crate::traits::BatchMontMul;
-use crate::verify::{VerifiedEngine, VerifyContext};
+use crate::verify::VerifiedEngine;
 use mmm_bigint::ct::{or_assign_masked, Choice};
 use mmm_bigint::limbs::Limb;
 use mmm_bigint::Ubig;
@@ -525,44 +524,15 @@ impl<E: BatchMontMul> BatchModExp<E> {
     }
 }
 
-/// Modular exponentiation for arbitrarily many lanes: shards into
-/// 64-lane batches fanned out across cores with rayon, each shard on
-/// a warm engine of the **process-default backend**
-/// ([`EngineKind::default_kind`], the radix-2⁶⁴ CIOS scan) checked out
-/// of the per-key [`pool`] and scanned with the auto-tuned fixed
-/// window. Results keep input order; [`modexp_many_with`] selects a
-/// backend explicitly, and every backend is bit-identical.
-///
-/// # Panics
-/// Panics if `ms` and `es` differ in length or any message is `≥ N`.
-pub fn modexp_many(params: &MontgomeryParams, ms: &[Ubig], es: &[Ubig]) -> Vec<Ubig> {
-    modexp_many_with(params, ms, es, EngineKind::default_kind())
-}
-
-/// [`modexp_many`] on an explicit backend.
-pub fn modexp_many_with(
-    params: &MontgomeryParams,
-    ms: &[Ubig],
-    es: &[Ubig],
-    kind: EngineKind,
-) -> Vec<Ubig> {
-    assert_eq!(ms.len(), es.len(), "message/exponent count mismatch");
-    modexp_many_sharded(
-        params,
-        ms,
-        es,
-        kind,
-        MAX_LANES,
-        WindowPolicy::Auto,
-        &VerifyContext::inert(),
-        HardeningMode::Off,
-    )
-}
-
-/// Fully fallible [`modexp_many`] driven by an [`EngineConfig`]
-/// (backend, shard width, window policy). Every input rejection is a
-/// typed [`MmmError`] — out-of-range messages are reported with their
-/// index in `ms`, not shard-local. Empty input is `Ok(vec![])`.
+/// Modular exponentiation for arbitrarily many lanes with per-lane
+/// exponents, driven by an [`EngineConfig`]: shards into
+/// `shard_lanes`-wide batches fanned out across cores with rayon, each
+/// shard on a warm engine of the configured backend checked out of the
+/// per-key [`pool`] and scanned under the configured window policy.
+/// Results keep input order, and every backend is bit-identical.
+/// Every input rejection is a typed [`MmmError`] — out-of-range
+/// messages are reported with their index in `ms`, not shard-local.
+/// Empty input is `Ok(vec![])`.
 pub fn try_modexp_many(
     params: &MontgomeryParams,
     ms: &[Ubig],
@@ -575,152 +545,75 @@ pub fn try_modexp_many(
             right: es.len(),
         });
     }
-    config.backend().ensure_supports(params)?;
-    pool::try_global()?;
-    validate_reduced(params.n(), ms)?;
-    Ok(modexp_many_sharded(
-        params,
-        ms,
-        es,
-        config.backend(),
-        config.shard_lanes(),
-        config.window(),
-        &config.verify_context(),
-        config.hardening(),
-    ))
-}
-
-/// The shared sharding core of the per-lane-exponent many-path:
-/// inputs are assumed validated. Dispatch is quarantine-aware
-/// ([`Quarantine::effective_kind`]) and every shard engine runs behind
-/// the policy-gated [`VerifiedEngine`] self-check; under
-/// [`HardeningMode::Hardened`] each shard engine canonicalizes and the
-/// scan runs its constant-time schedule.
-#[allow(clippy::too_many_arguments)] // private sharding core; every knob is one dispatch input
-fn modexp_many_sharded(
-    params: &MontgomeryParams,
-    ms: &[Ubig],
-    es: &[Ubig],
-    kind: EngineKind,
-    shard_lanes: usize,
-    window: WindowPolicy,
-    ctx: &VerifyContext,
-    hardening: HardeningMode,
-) -> Vec<Ubig> {
-    let width = shard_lanes.clamp(1, MAX_LANES);
-    let kind = ctx.quarantine.effective_kind(kind, params);
+    let width = config.shard_lanes().clamp(1, MAX_LANES);
     let shards: Vec<(&[Ubig], &[Ubig])> = ms.chunks(width).zip(es.chunks(width)).collect();
-    shards
-        .into_par_iter()
-        .map(|(sm, se)| {
-            let mut engine = pool::global().checkout_kind(params, kind);
-            engine.set_hardening(hardening);
-            let mut me = BatchModExp::new(VerifiedEngine::new(engine, kind, ctx.clone()));
-            match window {
-                WindowPolicy::Auto => me.modexp_batch_auto(sm, se),
-                WindowPolicy::Fixed(w) => me.modexp_batch_windowed(sm, se, w),
-            }
-        })
-        .collect::<Vec<Vec<Ubig>>>()
-        .into_iter()
-        .flatten()
-        .collect()
+    run_sharded(params, ms, config, shards, |me, (sm, se)| {
+        match config.window() {
+            WindowPolicy::Auto => me.modexp_batch_auto(sm, se),
+            WindowPolicy::Fixed(w) => me.modexp_batch_windowed(sm, se, w),
+        }
+    })
 }
 
-/// [`modexp_many`] for the common serving shape where every lane uses
-/// the **same** exponent (one RSA key, many requests): `ms[k] ^ e mod
-/// N` for all `k`. The shared exponent is never cloned per lane — each
-/// shard's windowed scan reads its digits straight from `e` through
-/// [`BatchModExp::modexp_batch_shared_auto`].
-///
-/// # Panics
-/// Panics if any message is `≥ N`.
-pub fn modexp_many_shared(params: &MontgomeryParams, ms: &[Ubig], e: &Ubig) -> Vec<Ubig> {
-    modexp_many_shared_with(params, ms, e, EngineKind::default_kind())
-}
-
-/// [`modexp_many_shared`] on an explicit backend.
-pub fn modexp_many_shared_with(
-    params: &MontgomeryParams,
-    ms: &[Ubig],
-    e: &Ubig,
-    kind: EngineKind,
-) -> Vec<Ubig> {
-    modexp_many_shared_sharded(
-        params,
-        ms,
-        e,
-        kind,
-        MAX_LANES,
-        WindowPolicy::Auto,
-        &VerifyContext::inert(),
-        HardeningMode::Off,
-    )
-}
-
-/// Fully fallible [`modexp_many_shared`] driven by an
-/// [`EngineConfig`]. Empty input is `Ok(vec![])`.
+/// [`try_modexp_many`] for the common serving shape where every lane
+/// uses the **same** exponent (one RSA key, many requests): `ms[k] ^ e
+/// mod N` for all `k`. The shared exponent is never cloned per lane —
+/// each shard's windowed scan reads its digits straight from `e`
+/// through [`BatchModExp::modexp_batch_shared_auto`]. Empty input is
+/// `Ok(vec![])`.
 pub fn try_modexp_many_shared(
     params: &MontgomeryParams,
     ms: &[Ubig],
     e: &Ubig,
     config: &EngineConfig,
 ) -> Result<Vec<Ubig>, MmmError> {
+    let width = config.shard_lanes().clamp(1, MAX_LANES);
+    let shards: Vec<&[Ubig]> = ms.chunks(width).collect();
+    run_sharded(params, ms, config, shards, |me, sm| match config.window() {
+        WindowPolicy::Auto => me.modexp_batch_shared_auto(sm, e),
+        WindowPolicy::Fixed(w) => me.modexp_batch_shared_windowed(sm, e, w),
+    })
+}
+
+/// The sharding core of both many-paths: validates `ms` against the
+/// configured backend, then runs `scan` on every shard in parallel and
+/// concatenates the results in order. Dispatch is quarantine-aware
+/// ([`crate::verify::Quarantine::effective_kind`]), every shard engine
+/// runs behind the policy-gated [`VerifiedEngine`] self-check, and
+/// under [`HardeningMode::Hardened`](crate::config::HardeningMode::Hardened)
+/// each shard engine canonicalizes
+/// and the scan runs its constant-time schedule.
+fn run_sharded<T: Send>(
+    params: &MontgomeryParams,
+    ms: &[Ubig],
+    config: &EngineConfig,
+    shards: Vec<T>,
+    scan: impl Fn(&mut BatchModExp<VerifiedEngine<pool::PooledEngine>>, T) -> Vec<Ubig> + Sync,
+) -> Result<Vec<Ubig>, MmmError> {
     config.backend().ensure_supports(params)?;
     pool::try_global()?;
     validate_reduced(params.n(), ms)?;
-    Ok(modexp_many_shared_sharded(
-        params,
-        ms,
-        e,
-        config.backend(),
-        config.shard_lanes(),
-        config.window(),
-        &config.verify_context(),
-        config.hardening(),
-    ))
-}
-
-/// The shared sharding core of the shared-exponent many-path: inputs
-/// are assumed validated. Dispatch is quarantine-aware
-/// ([`crate::verify::Quarantine::effective_kind`]) and every shard
-/// engine runs behind
-/// the policy-gated [`VerifiedEngine`] self-check.
-#[allow(clippy::too_many_arguments)] // private sharding core; every knob is one dispatch input
-fn modexp_many_shared_sharded(
-    params: &MontgomeryParams,
-    ms: &[Ubig],
-    e: &Ubig,
-    kind: EngineKind,
-    shard_lanes: usize,
-    window: WindowPolicy,
-    ctx: &VerifyContext,
-    hardening: HardeningMode,
-) -> Vec<Ubig> {
-    let width = shard_lanes.clamp(1, MAX_LANES);
-    let kind = ctx.quarantine.effective_kind(kind, params);
-    let shards: Vec<&[Ubig]> = ms.chunks(width).collect();
-    shards
+    let ctx = config.verify_context();
+    let kind = ctx.quarantine.effective_kind(config.backend(), params);
+    Ok(shards
         .into_par_iter()
-        .map(|sm| {
+        .map(|shard| {
             let mut engine = pool::global().checkout_kind(params, kind);
-            engine.set_hardening(hardening);
+            engine.set_hardening(config.hardening());
             let mut me = BatchModExp::new(VerifiedEngine::new(engine, kind, ctx.clone()));
-            match window {
-                WindowPolicy::Auto => me.modexp_batch_shared_auto(sm, e),
-                WindowPolicy::Fixed(w) => me.modexp_batch_shared_windowed(sm, e, w),
-            }
+            scan(&mut me, shard)
         })
         .collect::<Vec<Vec<Ubig>>>()
         .into_iter()
         .flatten()
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::batch::{BitSlicedBatch, SequentialBatch};
+    use crate::engine::EngineKind;
     use crate::expo_window::expected_fixed_window_muls;
     use crate::modgen::random_safe_params;
     use crate::traits::SoftwareEngine;
@@ -828,7 +721,7 @@ mod tests {
             let es: Vec<Ubig> = (0..count)
                 .map(|_| Ubig::random_bits(&mut rng, 20))
                 .collect();
-            let got = modexp_many(&p, &ms, &es);
+            let got = try_modexp_many(&p, &ms, &es, &EngineConfig::default()).unwrap();
             assert_eq!(got.len(), count);
             for k in 0..count {
                 assert_eq!(got[k], ms[k].modpow(&es[k], p.n()), "count={count} k={k}");
@@ -881,9 +774,10 @@ mod tests {
                 .map(|_| Ubig::random_below(&mut rng, p.n()))
                 .collect();
             let es = vec![e.clone(); count];
+            let config = EngineConfig::default();
             assert_eq!(
-                modexp_many_shared(&p, &ms, &e),
-                modexp_many(&p, &ms, &es),
+                try_modexp_many_shared(&p, &ms, &e, &config).unwrap(),
+                try_modexp_many(&p, &ms, &es, &config).unwrap(),
                 "count={count}"
             );
         }

@@ -43,6 +43,12 @@
 //!    proves detection/retry/quarantine actually fire. The CRT
 //!    verify-before-release countermeasure built on it lives in
 //!    `mmm-rsa`. See `DESIGN.md` §11.
+//! 10. **Serving plane** ([`serve`]) — the workload-neutral
+//!     multi-worker front-end: a bounded queue, per-`(key, op)` shards
+//!     flushed on fill-or-deadline, tickets that always resolve, panic
+//!     isolation and a serving fault-injection harness, generic over
+//!     the [`serve::Session`] trait that RSA and ECC sessions
+//!     implement. See `DESIGN.md` §10.
 //!
 //! [`montgomery`] holds the word-independent reference algorithms
 //! (Algorithm 1 with final subtraction and Algorithm 2 without), and
@@ -84,6 +90,7 @@ pub mod modgen;
 pub mod montgomery;
 pub mod pool;
 pub mod scan;
+pub mod serve;
 pub mod traits;
 pub mod verify;
 pub mod wave;

@@ -4,7 +4,7 @@
 //!
 //! The serving shape this workspace targets is *one key, many
 //! requests*: every batch entry point (`mont_mul_many`,
-//! `modexp_many`, the `mmm-rsa` batched sign/verify/decrypt paths)
+//! `try_modexp_many`, the `mmm-rsa` batched sign/verify/decrypt paths)
 //! used to rebuild `MontgomeryParams` — several wide divisions — and
 //! allocate a fresh engine on **every call**. Under sustained traffic
 //! that is pure overhead: the modulus set is small (one per RSA key,
@@ -38,7 +38,7 @@
 //! (now orphaned) entry and are dropped with it when returned.
 //!
 //! One retention caveat remains: an entry keyed by a secret modulus
-//! (the CRT primes behind `mmm-rsa::decrypt_crt_batch`) keeps that
+//! (the CRT primes behind `mmm-rsa`'s CRT decryption) keeps that
 //! secret in memory until evicted or [`EnginePool::clear`]ed — this
 //! workspace is a throughput simulator, not a hardened key store;
 //! nothing here is zeroized.
@@ -65,7 +65,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 /// propagating it (`.expect("poisoned")`) would let one panicked
 /// checkout — e.g. a fault-injected serving worker — brick the
 /// process-global pool and cascade the failure to every other key and
-/// caller. The serving layer (`mmm-rsa::serve`) makes the same
+/// caller. The serving plane ([`crate::serve`]) makes the same
 /// argument for its own locks and reuses this helper.
 pub fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)

@@ -13,7 +13,7 @@
 //!   outermost safety nets at once: the worker supervisor loop
 //!   restarts the thread, and the in-flight shard's responders
 //!   resolve their tickets with
-//!   [`MmmError::WorkerPanicked`](mmm_core::MmmError) from `Drop` —
+//!   [`MmmError::WorkerPanicked`](crate::MmmError::WorkerPanicked) from `Drop` —
 //!   every caller is answered.
 //! * **Flush stalls** ([`FaultPlan::inject_flush_stalls`]) — the next
 //!   `n` flushes sleep before computing, simulating a slow or wedged
@@ -35,7 +35,7 @@
 //! ## Atomic-ordering convention
 //!
 //! The same convention as the serve counters and the engine-level
-//! harness ([`mmm_core::verify::faults`]): **arming switches** are a
+//! harness ([`crate::verify::faults`]): **arming switches** are a
 //! handoff protocol, so they keep `fetch_update(AcqRel, Acquire)`
 //! (the armer's writes — e.g. the stall duration — must be visible to
 //! the worker that wins the slot); **fired counters** are monotone
@@ -125,7 +125,7 @@ impl FaultPlan {
         }
         if take_one(&self.panic_flushes) {
             self.panics_fired.fetch_add(1, Ordering::Relaxed);
-            panic!("injected worker panic (mmm-rsa::serve::faults)");
+            panic!("injected worker panic (mmm-core::serve::faults)");
         }
     }
 

@@ -1,13 +1,14 @@
 //! Worker threads: pull requests off the shared bounded queue into
-//! per-`(key, op)` shards, flush each shard on **fill-or-deadline**,
-//! and isolate every failure to the shard that caused it.
+//! per-`(key, op)` shards, flush each shard on **fill-or-deadline**
+//! through [`Session::run_batch`], and isolate every failure to the
+//! shard that caused it.
 //!
 //! ## Panic isolation, two layers
 //!
 //! 1. **Per-flush** — the batch computation runs inside
 //!    `catch_unwind`: a panicking engine poisons nothing (every lock
 //!    in the serving stack recovers via
-//!    [`lock_unpoisoned`](mmm_core::pool::lock_unpoisoned)), the
+//!    [`lock_unpoisoned`](crate::pool::lock_unpoisoned)), the
 //!    shard's requests are answered with
 //!    [`MmmError::WorkerPanicked`], and the worker keeps serving.
 //! 2. **Whole-worker** — [`run`] wraps the serve loop itself in
@@ -27,15 +28,20 @@
 //! makes concurrent flushers safe), so a singleton request is
 //! answered at most `flush_deadline + MAX_PARK` after submission even
 //! if its accepting worker then stalls.
+//!
+//! The deadline is anchored at **accept** time — the instant a worker
+//! files the first request of an empty shard — not at admission. A
+//! request that sat in a backed-up queue therefore still waits up to
+//! one deadline for shard peers once it is accepted; anchoring at
+//! admission would make every request behind a backlog already "due"
+//! and collapse a saturated server into one-lane flushes.
 
 use super::faults::FaultPlan;
 use super::queue::{BoundedQueue, Pop};
 use super::ticket::Responder;
-use super::ServeStats;
-use crate::server::{BatchOp, KeyedSession};
-use mmm_bigint::Ubig;
-use mmm_core::pool::lock_unpoisoned;
-use mmm_core::{MmmError, Quarantine};
+use super::{ServeStats, Session};
+use crate::pool::lock_unpoisoned;
+use crate::{MmmError, Quarantine};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,25 +54,34 @@ const MAX_PARK: Duration = Duration::from_millis(25);
 
 /// One accepted request traveling through the queue.
 #[derive(Debug)]
-pub(crate) struct Request {
+pub(crate) struct Request<S: Session> {
     pub(crate) key: usize,
-    pub(crate) op: BatchOp,
-    pub(crate) value: Ubig,
-    pub(crate) responder: Responder,
+    pub(crate) op: S::Op,
+    pub(crate) value: S::Request,
+    pub(crate) responder: Responder<S::Response>,
 }
+
+/// The requests of one flush and the responders that answer them.
+type Batch<S> = (
+    Vec<<S as Session>::Request>,
+    Vec<Responder<<S as Session>::Response>>,
+);
+
+/// Every open shard, keyed by `(key, op)`.
+type Shards<S> = HashMap<(usize, <S as Session>::Op), PendingShard<S>>;
 
 /// Requests aggregated toward one flush of one `(key, op)` shard.
 #[derive(Debug)]
-struct PendingShard {
-    values: Vec<Ubig>,
-    responders: Vec<Responder>,
-    /// Submission instant of the oldest queued request — the anchor
-    /// of the fill-or-deadline policy.
+struct PendingShard<S: Session> {
+    values: Vec<S::Request>,
+    responders: Vec<Responder<S::Response>>,
+    /// Accept instant of the oldest queued request — the anchor of
+    /// the fill-or-deadline policy (see the module docs).
     oldest: Instant,
 }
 
-impl PendingShard {
-    fn take(&mut self) -> (Vec<Ubig>, Vec<Responder>) {
+impl<S: Session> PendingShard<S> {
+    fn take(&mut self) -> Batch<S> {
         (
             std::mem::take(&mut self.values),
             std::mem::take(&mut self.responders),
@@ -74,7 +89,7 @@ impl PendingShard {
     }
 }
 
-impl Default for PendingShard {
+impl<S: Session> Default for PendingShard<S> {
     fn default() -> Self {
         PendingShard {
             values: Vec::new(),
@@ -133,10 +148,10 @@ impl Counters {
 
 /// Everything the workers and the submit path share.
 #[derive(Debug)]
-pub(crate) struct Shared {
-    pub(crate) queue: BoundedQueue<Request>,
-    pub(crate) sessions: Vec<KeyedSession>,
-    shards: Mutex<HashMap<(usize, BatchOp), PendingShard>>,
+pub(crate) struct Shared<S: Session> {
+    pub(crate) queue: BoundedQueue<Request<S>>,
+    pub(crate) sessions: Vec<S>,
+    shards: Mutex<Shards<S>>,
     pub(crate) faults: FaultPlan,
     pub(crate) counters: Counters,
     /// The integrity ledger the sessions' configs dispatch through;
@@ -147,9 +162,9 @@ pub(crate) struct Shared {
     pub(crate) flush_deadline: Duration,
 }
 
-impl Shared {
+impl<S: Session> Shared<S> {
     pub(crate) fn new(
-        sessions: Vec<KeyedSession>,
+        sessions: Vec<S>,
         queue_bound: usize,
         quarantine: Arc<Quarantine>,
         shard_lanes: usize,
@@ -188,7 +203,7 @@ impl Shared {
 
 /// The worker entry point: a supervisor loop that restarts the serve
 /// loop whenever a panic escapes it, until clean shutdown.
-pub(crate) fn run(shared: &Shared) {
+pub(crate) fn run<S: Session>(shared: &Shared<S>) {
     loop {
         match catch_unwind(AssertUnwindSafe(|| serve_until_closed(shared))) {
             Ok(()) => return,
@@ -197,7 +212,7 @@ pub(crate) fn run(shared: &Shared) {
     }
 }
 
-fn serve_until_closed(shared: &Shared) {
+fn serve_until_closed<S: Session>(shared: &Shared<S>) {
     loop {
         let park_cap = Instant::now() + MAX_PARK;
         let until = match shared.next_flush_deadline() {
@@ -220,7 +235,7 @@ fn serve_until_closed(shared: &Shared) {
 
 /// Files one request into its `(key, op)` shard and flushes the shard
 /// if that filled it.
-fn accept(shared: &Shared, req: Request) {
+fn accept<S: Session>(shared: &Shared<S>, req: Request<S>) {
     let filled = {
         let mut shards = lock_unpoisoned(&shared.shards);
         let shard = shards.entry((req.key, req.op)).or_default();
@@ -243,7 +258,7 @@ fn accept(shared: &Shared, req: Request) {
 
 /// Flushes every shard whose oldest request has waited past the
 /// deadline. Batches are taken under the lock, flushed outside it.
-fn flush_due(shared: &Shared, now: Instant) {
+fn flush_due<S: Session>(shared: &Shared<S>, now: Instant) {
     let due: Vec<_> = {
         let mut shards = lock_unpoisoned(&shared.shards);
         shards
@@ -261,7 +276,7 @@ fn flush_due(shared: &Shared, now: Instant) {
 /// Shutdown path: flushes everything still pending, regardless of
 /// fill level or deadline. Safe to run from several workers at once —
 /// the take-under-lock hands each batch to exactly one flusher.
-fn flush_remaining(shared: &Shared) {
+fn flush_remaining<S: Session>(shared: &Shared<S>) {
     let remaining: Vec<_> = {
         let mut shards = lock_unpoisoned(&shared.shards);
         shards
@@ -276,7 +291,8 @@ fn flush_remaining(shared: &Shared) {
     }
 }
 
-/// Runs one batch through its session and resolves every ticket.
+/// Runs one batch through its session's [`Session::run_batch`] and
+/// resolves every ticket.
 ///
 /// The fault hook fires *before* the per-flush `catch_unwind`: an
 /// injected panic unwinds the whole worker, and the batch's
@@ -284,20 +300,16 @@ fn flush_remaining(shared: &Shared) {
 /// `Drop`. A panic from the computation itself is caught here, turned
 /// into per-request [`MmmError::WorkerPanicked`] responses, and the
 /// worker carries on without restarting.
-fn flush_batch(shared: &Shared, key: usize, op: BatchOp, batch: (Vec<Ubig>, Vec<Responder>)) {
+fn flush_batch<S: Session>(shared: &Shared<S>, key: usize, op: S::Op, batch: Batch<S>) {
     let (values, responders) = batch;
     shared.faults.on_flush();
     let session = &shared.sessions[key];
-    let outcome = catch_unwind(AssertUnwindSafe(|| match op {
-        BatchOp::Sign => session.sign(&values),
-        BatchOp::Decrypt => session.decrypt(&values),
-        BatchOp::DecryptCrt => session.decrypt_crt(&values),
-    }));
+    let outcome = catch_unwind(AssertUnwindSafe(|| session.run_batch(op, values)));
     match outcome {
         Ok(Ok(outs)) => {
-            // Submission validated every value, so lengths agree; if a
-            // future bug breaks that, the zip under-iterates and the
-            // leftover responders still answer via Drop.
+            // `run_batch` answers one response per request; if a
+            // session breaks that contract, the zip under-iterates and
+            // the leftover responders still answer via Drop.
             debug_assert_eq!(outs.len(), responders.len());
             for (responder, out) in responders.into_iter().zip(outs) {
                 shared.counters.bump(&shared.counters.completed_ok);

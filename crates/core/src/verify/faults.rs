@@ -1,7 +1,7 @@
 //! Engine-level corruption injection: deterministic switches that make
 //! the *arithmetic* integrity layer ([`crate::verify`]) testable, the
-//! way [`mmm-rsa`'s serving fault plan] makes the serving layer's
-//! failure modes testable.
+//! way the serving fault plan ([`crate::serve::faults`]) makes the
+//! serving layer's failure modes testable.
 //!
 //! A verification layer that has never seen a corrupted value is
 //! decoration. Every [`EngineConfig`](crate::config::EngineConfig)
@@ -36,8 +36,6 @@
 //! API without a feature flag; arming is scoped to the plan instance
 //! (each `EngineConfig::default()` gets its own), so parallel tests
 //! never interfere.
-//!
-//! [`mmm-rsa`'s serving fault plan]: ../../../mmm_rsa/serve/faults/index.html
 
 use mmm_bigint::Ubig;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

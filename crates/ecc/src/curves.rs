@@ -31,7 +31,7 @@ pub struct CurveSpec {
 
 impl CurveSpec {
     /// Plain-arithmetic curve-membership check
-    /// (`y² ≡ x³ + ax + b mod p`) — used by collectors to validate
+    /// (`y² ≡ x³ + ax + b mod p`) — used by session admission to validate
     /// requests before any engine is checked out.
     pub fn on_curve(&self, x: &Ubig, y: &Ubig) -> bool {
         if x >= &self.p || y >= &self.p {

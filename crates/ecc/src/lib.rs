@@ -28,8 +28,9 @@
 //! * [`serve`] — the serving surface: batched ECDSA verification and
 //!   ECDH shared-secret derivation through the typed
 //!   [`MmmError`](mmm_core::error::MmmError) /
-//!   [`EngineConfig`](mmm_core::config::EngineConfig) API, with
-//!   request collectors mirroring the RSA front-end.
+//!   [`EngineConfig`](mmm_core::config::EngineConfig) API, served to
+//!   individual clients by the same workload-neutral plane as RSA
+//!   ([`mmm_core::serve`]).
 //!
 //! Every batched lane is bit-identical to what the solo [`curve`]
 //! path produces on the same inputs — the engines share one
@@ -52,6 +53,6 @@ pub use batch_field::BatchFieldCtx;
 pub use curve::{Curve, Point};
 pub use curves::CurveSpec;
 pub use field::FieldCtx;
-pub use serve::{CurveSession, EcdhCollector, EcdhRequest, EcdsaCollector, EcdsaRequest};
+pub use serve::{CurveOp, CurveRequest, CurveResponse, CurveSession, EcdhRequest, EcdsaRequest};
 
 pub use mmm_core::traits::{BatchMontMul, MontMul};

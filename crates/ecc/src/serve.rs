@@ -11,11 +11,13 @@
 //! `Result<_, MmmError>` so one malformed request bounces that *call*
 //! with the offending lane named, never the process.
 //!
-//! [`EcdsaCollector`] / [`EcdhCollector`] mirror
-//! `mmm_rsa::BatchCollector`: individually submitted requests are
-//! validated immediately (a bad request bounces without poisoning the
-//! queue), aggregated toward full shards, and answered in submission
-//! order on `flush`.
+//! `CurveSession` also implements the serving plane's
+//! [`Session`] trait ([`CurveOp`] selects ECDSA verify or ECDH), so a
+//! [`mmm_core::serve::Server`] over curve sessions gives individually
+//! submitted requests the same fill-or-deadline flushing, bounded-queue
+//! backpressure and panic isolation as the RSA front-end: admission
+//! validates each request (a bad one bounces without poisoning its
+//! shard), and each answer arrives on its own ticket.
 //!
 //! **Semantics note.** An ECDSA signature that is merely *invalid*
 //! (bad `r`/`s` range, wrong signer) is a `false` result — a verdict,
@@ -31,6 +33,7 @@ use mmm_core::batch::MAX_LANES;
 use mmm_core::error::MmmError;
 use mmm_core::montgomery::MontgomeryParams;
 use mmm_core::pool;
+use mmm_core::serve::Session;
 use mmm_core::traits::BatchMontMul;
 use mmm_core::{EngineConfig, EngineKind};
 use rayon::prelude::*;
@@ -181,9 +184,7 @@ impl CurveSession {
         }
         // Structural validation up front, with global lane indices.
         for (lane, req) in reqs.iter().enumerate() {
-            if !self.spec.on_curve(&req.qx, &req.qy) {
-                return Err(MmmError::PointNotOnCurve { lane });
-            }
+            self.check_key(&req.qx, &req.qy, lane)?;
         }
         let n = &self.spec.order;
         let one = Ubig::one();
@@ -262,12 +263,7 @@ impl CurveSession {
             return Ok(Vec::new());
         }
         for (lane, req) in reqs.iter().enumerate() {
-            if req.scalar.is_zero() || req.scalar >= self.spec.order {
-                return Err(MmmError::ScalarOutOfRange { lane });
-            }
-            if !self.spec.on_curve(&req.qx, &req.qy) {
-                return Err(MmmError::PointNotOnCurve { lane });
-            }
+            self.check_ecdh(req, lane)?;
         }
         let width = self.shard_width();
         let shards: Vec<(usize, &[EcdhRequest])> = reqs
@@ -298,20 +294,24 @@ impl CurveSession {
         Ok(results?.into_iter().flatten().collect())
     }
 
-    /// A fresh [`EcdsaCollector`] bound to this session.
-    pub fn ecdsa_collector(&self) -> EcdsaCollector<'_> {
-        EcdsaCollector {
-            session: self,
-            pending: Vec::new(),
+    /// A public key off the curve is [`MmmError::PointNotOnCurve`]
+    /// naming `lane`.
+    fn check_key(&self, qx: &Ubig, qy: &Ubig, lane: usize) -> Result<(), MmmError> {
+        if self.spec.on_curve(qx, qy) {
+            Ok(())
+        } else {
+            Err(MmmError::PointNotOnCurve { lane })
         }
     }
 
-    /// A fresh [`EcdhCollector`] bound to this session.
-    pub fn ecdh_collector(&self) -> EcdhCollector<'_> {
-        EcdhCollector {
-            session: self,
-            pending: Vec::new(),
+    /// An ECDH scalar outside `[1, order)` is
+    /// [`MmmError::ScalarOutOfRange`], a peer key off the curve is
+    /// [`MmmError::PointNotOnCurve`], both naming `lane`.
+    fn check_ecdh(&self, req: &EcdhRequest, lane: usize) -> Result<(), MmmError> {
+        if req.scalar.is_zero() || req.scalar >= self.spec.order {
+            return Err(MmmError::ScalarOutOfRange { lane });
         }
+        self.check_key(&req.qx, &req.qy, lane)
     }
 
     fn shard_width(&self) -> usize {
@@ -347,132 +347,115 @@ impl CurveSession {
     }
 }
 
-/// Aggregates individually submitted [`EcdsaRequest`]s toward full
-/// shards; results come back in submission order on
-/// [`EcdsaCollector::flush`]. Submission validates the public key
-/// immediately (the error's `lane` is the id the request would have
-/// had); range-invalid `r`/`s` are accepted and verdict `false`.
-#[derive(Debug)]
-pub struct EcdsaCollector<'s> {
-    session: &'s CurveSession,
-    pending: Vec<EcdsaRequest>,
+/// Which operation a served curve request asks for; the serving plane
+/// shards pending requests by `(key, op)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum CurveOp {
+    /// ECDSA verification ([`CurveSession::verify_ecdsa`]).
+    EcdsaVerify,
+    /// ECDH shared-secret derivation ([`CurveSession::ecdh`]).
+    Ecdh,
 }
 
-impl EcdsaCollector<'_> {
-    /// Queues one request. A public key off the curve is rejected with
-    /// [`MmmError::PointNotOnCurve`] and leaves the queue untouched.
-    /// Returns the request id — the index of this request's verdict in
-    /// the next [`EcdsaCollector::flush`].
-    pub fn submit(&mut self, req: EcdsaRequest) -> Result<usize, MmmError> {
-        if !self.session.spec.on_curve(&req.qx, &req.qy) {
-            return Err(MmmError::PointNotOnCurve {
-                lane: self.pending.len(),
-            });
+/// One request submitted to a server over [`CurveSession`]s.
+#[derive(Debug, Clone)]
+pub enum CurveRequest {
+    /// For [`CurveOp::EcdsaVerify`].
+    Ecdsa(EcdsaRequest),
+    /// For [`CurveOp::Ecdh`].
+    Ecdh(EcdhRequest),
+}
+
+impl CurveRequest {
+    /// The op this request belongs to — pass it to `try_submit`.
+    pub fn op(&self) -> CurveOp {
+        match self {
+            CurveRequest::Ecdsa(_) => CurveOp::EcdsaVerify,
+            CurveRequest::Ecdh(_) => CurveOp::Ecdh,
         }
-        self.pending.push(req);
-        Ok(self.pending.len() - 1)
-    }
-
-    /// Requests queued for the next flush.
-    pub fn len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// True when no requests are queued.
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
-
-    /// How many **full** shards the queue currently fills at the
-    /// session's configured shard width — the flush-scheduling hint.
-    pub fn full_shards(&self) -> usize {
-        self.pending.len() / self.session.shard_width()
-    }
-
-    /// Removes and returns every queued request with its submission
-    /// id, leaving the collector empty — the shutdown escape hatch.
-    pub fn drain(&mut self) -> Vec<(usize, EcdsaRequest)> {
-        self.pending.drain(..).enumerate().collect()
-    }
-
-    /// Drains the queue through the session: one verdict per request,
-    /// in submission order. An empty queue is
-    /// [`MmmError::EmptyBatch`]; on error the queue is left intact.
-    pub fn flush(&mut self) -> Result<Vec<bool>, MmmError> {
-        if self.pending.is_empty() {
-            return Err(MmmError::EmptyBatch);
-        }
-        let pending = std::mem::take(&mut self.pending);
-        let result = self.session.verify_ecdsa(&pending);
-        if result.is_err() {
-            self.pending = pending;
-        }
-        result
     }
 }
 
-/// Aggregates individually submitted [`EcdhRequest`]s toward full
-/// shards; shared secrets come back in submission order on
-/// [`EcdhCollector::flush`]. Submission validates scalar range and
-/// peer key immediately.
-#[derive(Debug)]
-pub struct EcdhCollector<'s> {
-    session: &'s CurveSession,
-    pending: Vec<EcdhRequest>,
+/// One answer from a server over [`CurveSession`]s.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CurveResponse {
+    /// An ECDSA verdict.
+    Verdict(bool),
+    /// An ECDH shared secret (affine x-coordinate).
+    Secret(Ubig),
 }
 
-impl EcdhCollector<'_> {
-    /// Queues one request, validating it immediately: a scalar outside
-    /// `[1, order)` is [`MmmError::ScalarOutOfRange`], a peer key off
-    /// the curve is [`MmmError::PointNotOnCurve`] (the `lane` is the
-    /// id the request would have had); both leave the queue untouched.
-    /// Returns the request id.
-    pub fn submit(&mut self, req: EcdhRequest) -> Result<usize, MmmError> {
-        let lane = self.pending.len();
-        if req.scalar.is_zero() || req.scalar >= self.session.spec.order {
-            return Err(MmmError::ScalarOutOfRange { lane });
+impl TryFrom<(CurveSpec, EngineConfig)> for CurveSession {
+    type Error = MmmError;
+
+    /// [`CurveSession::new`] — what `ServerBuilder::add_key` calls.
+    fn try_from((spec, config): (CurveSpec, EngineConfig)) -> Result<Self, MmmError> {
+        CurveSession::new(spec, config)
+    }
+}
+
+impl Session for CurveSession {
+    type Op = CurveOp;
+    type Request = CurveRequest;
+    type Response = CurveResponse;
+
+    /// Validates one request like the batch methods validate each
+    /// lane: an ECDH scalar outside `[1, order)` is
+    /// [`MmmError::ScalarOutOfRange`], a public key off the curve is
+    /// [`MmmError::PointNotOnCurve`] (both with `lane: 0`), and a
+    /// request whose kind differs from `op` is [`MmmError::Config`].
+    /// Range-invalid ECDSA `r`/`s` are admitted and verdict `false`.
+    fn admit(&self, op: CurveOp, request: &CurveRequest) -> Result<(), MmmError> {
+        if request.op() != op {
+            return Err(MmmError::Config(format!(
+                "{:?} request submitted as {op:?}",
+                request.op()
+            )));
         }
-        if !self.session.spec.on_curve(&req.qx, &req.qy) {
-            return Err(MmmError::PointNotOnCurve { lane });
+        match request {
+            CurveRequest::Ecdsa(r) => self.check_key(&r.qx, &r.qy, 0),
+            CurveRequest::Ecdh(r) => self.check_ecdh(r, 0),
         }
-        self.pending.push(req);
-        Ok(lane)
     }
 
-    /// Requests queued for the next flush.
-    pub fn len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// True when no requests are queued.
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
-
-    /// How many **full** shards the queue currently fills.
-    pub fn full_shards(&self) -> usize {
-        self.pending.len() / self.session.shard_width()
-    }
-
-    /// Removes and returns every queued request with its submission
-    /// id, leaving the collector empty.
-    pub fn drain(&mut self) -> Vec<(usize, EcdhRequest)> {
-        self.pending.drain(..).enumerate().collect()
-    }
-
-    /// Drains the queue through the session: one shared secret per
-    /// request, in submission order. An empty queue is
-    /// [`MmmError::EmptyBatch`]; on error the queue is left intact.
-    pub fn flush(&mut self) -> Result<Vec<Ubig>, MmmError> {
-        if self.pending.is_empty() {
-            return Err(MmmError::EmptyBatch);
+    fn run_batch(
+        &self,
+        op: CurveOp,
+        requests: Vec<CurveRequest>,
+    ) -> Result<Vec<CurveResponse>, MmmError> {
+        // Admission pinned every request's kind to `op`; a stray one
+        // fails the shard rather than shifting answers between tickets.
+        fn unpack<T>(
+            requests: Vec<CurveRequest>,
+            op: CurveOp,
+            pick: fn(CurveRequest) -> Option<T>,
+        ) -> Result<Vec<T>, MmmError> {
+            requests
+                .into_iter()
+                .map(|r| {
+                    pick(r)
+                        .ok_or_else(|| MmmError::Config(format!("stray request in a {op:?} shard")))
+                })
+                .collect()
         }
-        let pending = std::mem::take(&mut self.pending);
-        let result = self.session.ecdh(&pending);
-        if result.is_err() {
-            self.pending = pending;
+        match op {
+            CurveOp::EcdsaVerify => {
+                let reqs = unpack(requests, op, |r| match r {
+                    CurveRequest::Ecdsa(r) => Some(r),
+                    CurveRequest::Ecdh(_) => None,
+                })?;
+                let verdicts = self.verify_ecdsa(&reqs)?;
+                Ok(verdicts.into_iter().map(CurveResponse::Verdict).collect())
+            }
+            CurveOp::Ecdh => {
+                let reqs = unpack(requests, op, |r| match r {
+                    CurveRequest::Ecdh(r) => Some(r),
+                    CurveRequest::Ecdsa(_) => None,
+                })?;
+                let secrets = self.ecdh(&reqs)?;
+                Ok(secrets.into_iter().map(CurveResponse::Secret).collect())
+            }
         }
-        result
     }
 }
 
@@ -480,6 +463,7 @@ impl EcdhCollector<'_> {
 mod tests {
     use super::*;
     use crate::curves::p256;
+    use mmm_core::serve::Server;
 
     /// The solo fixture as a spec: y² = x³ + 2x + 3 over GF(97),
     /// G = (3, 6), with the order of G brute-forced from the affine
@@ -627,47 +611,58 @@ mod tests {
 
     #[test]
     fn collectors_submit_validate_and_flush_in_order() {
-        let session = CurveSession::new(tiny_spec(), EngineConfig::default()).unwrap();
+        // The serving plane's shard aggregation is the collector: every
+        // request is validated at submit and answered on its own ticket.
+        let config = EngineConfig::default()
+            .with_workers(1)
+            .unwrap()
+            .with_flush_deadline(std::time::Duration::from_millis(1));
+        let mut builder = Server::<CurveSession>::builder(config);
+        let id = builder.add_key(tiny_spec()).unwrap();
+        let server = builder.build().unwrap();
+        let session = server.session(id).unwrap();
         let pts: Vec<(Ubig, Ubig)> = session
             .scalar_mul_base(&[Ubig::from(2u64), Ubig::from(3u64), Ubig::from(4u64)])
             .unwrap()
             .into_iter()
             .map(Option::unwrap)
             .collect();
-        let mut c = session.ecdh_collector();
-        assert!(matches!(c.flush(), Err(MmmError::EmptyBatch)));
-        for (i, (qx, qy)) in pts.iter().enumerate() {
-            let id = c
-                .submit(EcdhRequest {
-                    scalar: Ubig::from(i as u64 + 1),
-                    qx: qx.clone(),
-                    qy: qy.clone(),
-                })
-                .unwrap();
-            assert_eq!(id, i);
-        }
-        let bad = c.submit(EcdhRequest {
-            scalar: Ubig::zero(),
-            qx: pts[0].0.clone(),
-            qy: pts[0].1.clone(),
-        });
-        assert!(matches!(bad, Err(MmmError::ScalarOutOfRange { lane: 3 })));
-        assert_eq!(c.len(), 3, "rejected submit leaves the queue intact");
-        let direct: Vec<Ubig> = pts
+        let reqs: Vec<EcdhRequest> = pts
             .iter()
             .enumerate()
-            .map(|(i, (qx, qy))| {
-                session
-                    .ecdh(&[EcdhRequest {
-                        scalar: Ubig::from(i as u64 + 1),
-                        qx: qx.clone(),
-                        qy: qy.clone(),
-                    }])
-                    .unwrap()[0]
-                    .clone()
+            .map(|(i, (qx, qy))| EcdhRequest {
+                scalar: Ubig::from(i as u64 + 1),
+                qx: qx.clone(),
+                qy: qy.clone(),
             })
             .collect();
-        assert_eq!(c.flush().unwrap(), direct);
-        assert!(c.is_empty());
+        let tickets: Vec<_> = reqs
+            .iter()
+            .map(|r| {
+                server
+                    .try_submit(id, CurveOp::Ecdh, CurveRequest::Ecdh(r.clone()))
+                    .unwrap()
+            })
+            .collect();
+        let mut bad = reqs[0].clone();
+        bad.scalar = Ubig::zero();
+        assert!(matches!(
+            server.try_submit(id, CurveOp::Ecdh, CurveRequest::Ecdh(bad)),
+            Err(MmmError::ScalarOutOfRange { lane: 0 })
+        ));
+        assert!(matches!(
+            server.try_submit(
+                id,
+                CurveOp::EcdsaVerify,
+                CurveRequest::Ecdh(reqs[0].clone())
+            ),
+            Err(MmmError::Config(_))
+        ));
+        for (ticket, req) in tickets.into_iter().zip(&reqs) {
+            let direct = session.ecdh(std::slice::from_ref(req)).unwrap();
+            assert_eq!(ticket.wait(), Ok(CurveResponse::Secret(direct[0].clone())));
+        }
+        assert_eq!(server.stats().rejected_invalid, 2);
+        server.shutdown();
     }
 }

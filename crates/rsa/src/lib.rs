@@ -9,34 +9,27 @@
 //! behavioral wave model, or the gate-level MMMC simulation.
 //!
 //! Server-shaped callers should start from the typed serving API in
-//! [`server`]: a fallible per-key [`KeyedSession`] handle plus the
-//! [`BatchCollector`] request aggregator, configured through one
-//! [`EngineConfig`] value. On top of that sits [`serve`]: the
-//! fault-tolerant multi-worker front-end ([`Server`]) with
-//! deadline-driven flushing, bounded-queue backpressure, panic
-//! isolation, and a fault-injection harness ([`serve::faults`]). The
-//! free functions in [`batch`] remain as thin panicking wrappers for
-//! harness code and benchmarks.
+//! [`server`]: a fallible per-key [`KeyedSession`] handle, configured
+//! through one [`EngineConfig`] value, and the [`Server`] front-end
+//! that serves it — `mmm_core`'s workload-neutral serving plane
+//! ([`mmm_core::serve`]) with deadline-driven flushing, bounded-queue
+//! backpressure, panic isolation and a fault-injection harness
+//! ([`FaultPlan`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
+mod batch;
 pub mod blinding;
 pub mod cipher;
 pub mod keys;
-pub mod serve;
 pub mod server;
 pub mod signing;
 
-pub use batch::{
-    decrypt_batch, decrypt_crt_batch, decrypt_crt_batch_with, sign_batch, sign_batch_with,
-    verify_batch, verify_batch_with,
-};
 pub use cipher::{decrypt, decrypt_crt, encrypt};
 pub use keys::RsaKeyPair;
-pub use serve::{FaultPlan, KeyId, ServeStats, Server, ServerBuilder, Ticket};
-pub use server::{BatchCollector, BatchOp, KeyedSession};
+pub use mmm_core::serve::{FaultPlan, KeyId, ServeStats};
+pub use server::{BatchOp, KeyedSession, Server, ServerBuilder, Ticket};
 pub use signing::{decrypt_blinded, sign, verify};
 
 pub use blinding::{BlindingState, BlindingTicket, EntropySource, OsEntropy};

@@ -1,33 +1,27 @@
-//! The typed serving API: a per-key session handle and a request
-//! aggregator, replacing the free-function/`&RsaKeyPair`-threading
-//! surface for server-shaped callers.
+//! The typed RSA serving API: a per-key session handle, and its
+//! registration with the shared serving plane
+//! ([`mmm_core::serve`]).
 //!
-//! The batch entry points in [`crate::batch`] answer "I have a `Vec`
-//! of 100 ciphertexts" — a research harness shape. Real traffic is
-//! *millions of independent clients* each submitting one request
-//! against a long-lived key, which needs two things the free
-//! functions don't provide:
+//! Real traffic is *millions of independent clients* each submitting
+//! one request against a long-lived key:
 //!
 //! * [`KeyedSession`] — one handle owning the key **and** its pooled
 //!   Montgomery parameters (`N`, and the CRT primes `p`/`q`) plus the
 //!   engine configuration, built once and reused for every request.
-//!   No more threading `&RsaKeyPair` + [`EngineKind`] through every
-//!   call, and no panics: every method returns
+//!   Every method takes a slice of requests and returns
 //!   `Result<_, MmmError>`, so one client's unreduced message bounces
-//!   that request instead of aborting the process.
-//! * [`BatchCollector`] — accepts **individually submitted** requests,
-//!   aggregates them toward full 64-lane shards, and returns
-//!   per-request results in submission order on
-//!   [`BatchCollector::flush`] — the missing aggregation step between
-//!   a pre-assembled `Vec` and independent clients. Results are
-//!   bit-identical to calling the corresponding batch function on the
-//!   same inputs (asserted by `tests/serving_api.rs` on both
-//!   backends).
+//!   that call instead of aborting the process.
+//! * [`Server`] — the multi-worker front-end that aggregates
+//!   **individually submitted** requests into full shards per
+//!   `(key, op)` and answers each on its own [`Ticket`].
+//!   `KeyedSession` implements [`Session`] for [`BatchOp`]'s three
+//!   single-input operations, so the plane's queue, deadlines,
+//!   backpressure and panic isolation serve RSA unchanged.
 //!
-//! Backend, window policy, pool capacity and shard width all come
-//! from one validated [`EngineConfig`] value; use
-//! [`EngineConfig::from_env`] to honor the `MMM_ENGINE` /
-//! `MMM_POOL_KEYS` environment overrides.
+//! Backend, window policy, pool capacity, shard width and the serving
+//! knobs all come from one validated [`EngineConfig`] value; use
+//! [`EngineConfig::from_env`] to honor the `MMM_*` environment
+//! overrides.
 
 use crate::batch::decrypt_crt_core;
 use crate::blinding::BlindingState;
@@ -37,8 +31,54 @@ use mmm_core::error::OperandBound;
 use mmm_core::expo_batch::try_modexp_many_shared;
 use mmm_core::montgomery::MontgomeryParams;
 use mmm_core::pool;
+use mmm_core::serve::{self, Session};
 use mmm_core::{EngineConfig, EngineKind, MmmError};
 use std::sync::Arc;
+
+/// The RSA serving front-end: [`mmm_core::serve::Server`] over
+/// [`KeyedSession`]s. Register keys with [`ServerBuilder::add_key`],
+/// then submit singletons by [`KeyId`](mmm_core::serve::KeyId) and
+/// [`BatchOp`].
+///
+/// ```
+/// use mmm_bigint::Ubig;
+/// use mmm_core::{EngineConfig, MmmError};
+/// use mmm_rsa::{BatchOp, RsaKeyPair, Server};
+/// use rand::rngs::StdRng;
+/// use rand::SeedableRng;
+/// use std::time::Duration;
+///
+/// # fn main() -> Result<(), MmmError> {
+/// let mut rng = StdRng::seed_from_u64(5);
+/// let key = RsaKeyPair::generate(&mut rng, 32, 8);
+/// let config = EngineConfig::default()
+///     .with_workers(2)?
+///     .with_flush_deadline(Duration::from_millis(1));
+/// let mut builder = Server::builder(config);
+/// let key_id = builder.add_key(key.clone())?;
+/// let server = builder.build()?;
+///
+/// // Independent clients submit singletons and block on tickets.
+/// let m = Ubig::from(42u64);
+/// let c = m.modpow(&key.e, &key.n);
+/// let ticket = server.try_submit(key_id, BatchOp::DecryptCrt, c)?;
+/// assert_eq!(ticket.wait()?, m);
+///
+/// // Bad input bounces at admission; the server keeps serving.
+/// let err = server
+///     .try_submit(key_id, BatchOp::DecryptCrt, key.n.clone())
+///     .unwrap_err();
+/// assert!(matches!(err, MmmError::OperandOutOfRange { .. }));
+/// server.shutdown();
+/// # Ok(()) }
+/// ```
+pub type Server = serve::Server<KeyedSession>;
+
+/// Builds a [`Server`]: `add_key` per RSA key, then `build`.
+pub type ServerBuilder = serve::ServerBuilder<KeyedSession>;
+
+/// The caller's half of an RSA request submitted to a [`Server`].
+pub type Ticket = serve::Ticket<Ubig>;
 
 /// A serving session bound to one RSA key: owns the key, its pooled
 /// Montgomery parameters for `N` and both CRT primes, and the engine
@@ -168,8 +208,8 @@ impl KeyedSession {
 
     /// CRT-decrypts every ciphertext: per shard, two half-width
     /// shared-exponent windowed batch runs (mod `p`, mod `q`) and a
-    /// per-lane Garner recombination — bit-identical to
-    /// [`crate::batch::decrypt_crt_batch`] on the same inputs.
+    /// per-lane Garner recombination — bit-identical to scalar
+    /// [`crate::cipher::decrypt_crt`] lane for lane.
     /// Rejects any ciphertext `≥ N` with
     /// [`MmmError::OperandOutOfRange`] naming the lane.
     ///
@@ -217,23 +257,12 @@ impl KeyedSession {
         ticket.unblind(&mut ms, &self.key.n);
         Ok(ms)
     }
-
-    /// A fresh [`BatchCollector`] aggregating individually submitted
-    /// requests for `op` against this session.
-    pub fn collector(&self, op: BatchOp) -> BatchCollector<'_> {
-        BatchCollector {
-            session: self,
-            op,
-            pending: Vec::new(),
-        }
-    }
 }
 
-/// Which single-input operation a [`BatchCollector`] aggregates.
+/// Which single-input operation a [`Server`] request asks for.
 /// (Verification takes message *and* signature per request, so it
-/// stays on [`KeyedSession::verify`].) `Hash` because the serving
-/// dispatcher ([`crate::serve`]) shards pending requests by
-/// `(key, op)`.
+/// stays on [`KeyedSession::verify`].) The serving plane shards
+/// pending requests by `(key, op)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BatchOp {
     /// `m ^ D mod N` per request ([`KeyedSession::sign`]).
@@ -245,127 +274,50 @@ pub enum BatchOp {
     DecryptCrt,
 }
 
-/// Aggregates **individually submitted** requests into full batch
-/// shards: clients call [`BatchCollector::submit`] one request at a
-/// time (validated immediately, so a bad request bounces without
-/// poisoning the batch), and [`BatchCollector::flush`] runs the whole
-/// queue through the session, returning results **in submission
-/// order** — `results[id]` answers the submit that returned `id`.
-///
-/// ```
-/// use mmm_bigint::Ubig;
-/// use mmm_core::{EngineConfig, MmmError};
-/// use mmm_rsa::{BatchOp, KeyedSession, RsaKeyPair};
-/// use rand::rngs::StdRng;
-/// use rand::SeedableRng;
-///
-/// # fn main() -> Result<(), MmmError> {
-/// let mut rng = StdRng::seed_from_u64(11);
-/// let key = RsaKeyPair::generate(&mut rng, 32, 8);
-/// let session = KeyedSession::new(key, EngineConfig::default())?;
-///
-/// // Independent clients trickle in ciphertexts one at a time...
-/// let messages = vec![Ubig::from(5u64), Ubig::from(900u64), Ubig::from(31u64)];
-/// let mut collector = session.collector(BatchOp::DecryptCrt);
-/// for m in &messages {
-///     let c = m.modpow(&session.key().e, &session.key().n);
-///     let id = collector.submit(c)?;
-///     assert_eq!(id + 1, collector.len());
-/// }
-///
-/// // ...and one flush answers all of them, in submission order.
-/// let decrypted = collector.flush()?;
-/// assert_eq!(decrypted, messages);
-/// assert!(collector.is_empty());
-/// # Ok(()) }
-/// ```
-#[derive(Debug)]
-pub struct BatchCollector<'s> {
-    session: &'s KeyedSession,
-    op: BatchOp,
-    pending: Vec<Ubig>,
+impl TryFrom<(RsaKeyPair, EngineConfig)> for KeyedSession {
+    type Error = MmmError;
+
+    /// [`KeyedSession::new`] — what [`ServerBuilder::add_key`] calls.
+    fn try_from((key, config): (RsaKeyPair, EngineConfig)) -> Result<Self, MmmError> {
+        KeyedSession::new(key, config)
+    }
 }
 
-impl BatchCollector<'_> {
-    /// The operation this collector aggregates.
-    pub fn op(&self) -> BatchOp {
-        self.op
-    }
+impl Session for KeyedSession {
+    type Op = BatchOp;
+    type Request = Ubig;
+    type Response = Ubig;
 
-    /// Queues one request, validating it immediately: a value `≥ N`
-    /// is rejected with [`MmmError::OperandOutOfRange`] (its `lane`
-    /// is the id the request *would* have had) and leaves the queue
-    /// untouched. Returns the request id — the index of this
-    /// request's result in the next [`BatchCollector::flush`].
-    pub fn submit(&mut self, request: Ubig) -> Result<usize, MmmError> {
-        if request >= self.session.key.n {
+    /// Bounces a value `≥ N` with [`MmmError::OperandOutOfRange`]
+    /// (`lane: 0` — the request is its own batch of one).
+    fn admit(&self, _op: BatchOp, value: &Ubig) -> Result<(), MmmError> {
+        if *value >= self.key.n {
             return Err(MmmError::OperandOutOfRange {
-                lane: self.pending.len(),
+                lane: 0,
                 bound: OperandBound::N,
             });
         }
-        self.pending.push(request);
-        Ok(self.pending.len() - 1)
+        Ok(())
     }
 
-    /// Requests queued for the next flush.
-    pub fn len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// True when no requests are queued.
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
-
-    /// How many **full** shards the queue currently fills at the
-    /// session's configured shard width — a scheduling hint: flushing
-    /// on a full shard maximizes lane utilization, flushing earlier
-    /// trades throughput for latency.
-    pub fn full_shards(&self) -> usize {
-        self.pending.len() / self.session.config.shard_lanes()
-    }
-
-    /// Removes and returns every queued-but-unflushed request together
-    /// with its submission id, leaving the collector empty. This is
-    /// the shutdown/error escape hatch: a dispatcher that is stopping
-    /// (or whose flush path is failing) can recover the tail of the
-    /// queue and answer each caller individually — e.g. with a typed
-    /// error — instead of silently dropping it. The ids are the values
-    /// the corresponding [`BatchCollector::submit`] calls returned;
-    /// after a drain the next submit starts from id 0 again.
-    pub fn drain(&mut self) -> Vec<(usize, Ubig)> {
-        self.pending.drain(..).enumerate().collect()
-    }
-
-    /// Drains the queue through the session and returns one result
-    /// per request, in submission order (`results[id]` belongs to the
-    /// submit that returned `id`). An empty queue is
-    /// [`MmmError::EmptyBatch`]. On error the queue is left intact,
-    /// so no request is silently dropped.
-    pub fn flush(&mut self) -> Result<Vec<Ubig>, MmmError> {
-        if self.pending.is_empty() {
-            return Err(MmmError::EmptyBatch);
+    fn run_batch(&self, op: BatchOp, values: Vec<Ubig>) -> Result<Vec<Ubig>, MmmError> {
+        match op {
+            BatchOp::Sign => self.sign(&values),
+            BatchOp::Decrypt => self.decrypt(&values),
+            BatchOp::DecryptCrt => self.decrypt_crt(&values),
         }
-        let pending = std::mem::take(&mut self.pending);
-        let result = match self.op {
-            BatchOp::Sign => self.session.sign(&pending),
-            BatchOp::Decrypt => self.session.decrypt(&pending),
-            BatchOp::DecryptCrt => self.session.decrypt_crt(&pending),
-        };
-        if result.is_err() {
-            self.pending = pending;
-        }
-        result
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{decrypt_crt_batch_with, sign_batch_with, verify_batch_with};
+    use crate::cipher::decrypt_crt;
+    use crate::signing::{sign, verify};
+    use mmm_core::traits::SoftwareEngine;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::time::{Duration, Instant};
 
     fn keypair(bits: usize, seed: u64) -> RsaKeyPair {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -377,30 +329,52 @@ mod tests {
             .expect("pooled params are hardware-safe for every backend")
     }
 
+    /// A one-worker server whose deadline never fires within a test:
+    /// only a full shard or the shutdown drain can flush.
+    fn fill_only_server(key: &RsaKeyPair, lanes: usize) -> (Server, mmm_core::serve::KeyId) {
+        let config = EngineConfig::default()
+            .with_workers(1)
+            .unwrap()
+            .with_shard_lanes(lanes)
+            .unwrap()
+            .with_flush_deadline(Duration::from_secs(600));
+        let mut builder = Server::builder(config);
+        let id = builder.add_key(key.clone()).unwrap();
+        (builder.build().unwrap(), id)
+    }
+
+    /// Polls `done` for up to ten seconds.
+    fn await_until(done: impl Fn() -> bool) {
+        let t0 = Instant::now();
+        while !done() {
+            assert!(
+                t0.elapsed() < Duration::from_secs(10),
+                "condition never held"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     #[test]
     fn session_matches_legacy_entry_points_on_both_backends() {
         let key = keypair(48, 90);
+        let params = MontgomeryParams::hardware_safe(&key.n);
         let mut rng = StdRng::seed_from_u64(91);
         let ms: Vec<Ubig> = (0..9)
             .map(|_| Ubig::random_below(&mut rng, &key.n))
             .collect();
         let cs: Vec<Ubig> = ms.iter().map(|m| m.modpow(&key.e, &key.n)).collect();
+        let engine = || SoftwareEngine::new(params.clone());
         for kind in EngineKind::ALL {
             let session = session_for(kind, &key);
             let sigs = session.sign(&ms).unwrap();
-            assert_eq!(sigs, sign_batch_with(&key, &ms, kind), "{}", kind.name());
-            assert_eq!(
-                session.verify(&ms, &sigs).unwrap(),
-                verify_batch_with(&key, &ms, &sigs, kind),
-                "{}",
-                kind.name()
-            );
-            assert_eq!(
-                session.decrypt_crt(&cs).unwrap(),
-                decrypt_crt_batch_with(&key, &cs, kind),
-                "{}",
-                kind.name()
-            );
+            for (k, (m, s)) in ms.iter().zip(&sigs).enumerate() {
+                assert_eq!(*s, sign(engine(), &key, m), "{} lane {k}", kind.name());
+                assert!(verify(engine(), &key, m, s), "{} lane {k}", kind.name());
+            }
+            assert!(session.verify(&ms, &sigs).unwrap().into_iter().all(|ok| ok));
+            let want: Vec<Ubig> = cs.iter().map(|c| decrypt_crt(&key, c)).collect();
+            assert_eq!(session.decrypt_crt(&cs).unwrap(), want, "{}", kind.name());
             assert_eq!(session.decrypt(&cs).unwrap(), ms, "{}", kind.name());
         }
     }
@@ -432,69 +406,79 @@ mod tests {
         assert_eq!(session.sign(&[]).unwrap(), Vec::<Ubig>::new());
     }
 
+    // The `collector_*` and drain tests pin the server's per-(key, op)
+    // shard aggregation — the one request collector in the workspace.
+
     #[test]
     fn collector_orders_results_and_survives_rejections() {
         let key = keypair(32, 93);
-        let session = session_for(EngineKind::Cios, &key);
         let mut rng = StdRng::seed_from_u64(94);
         let ms: Vec<Ubig> = (0..5)
             .map(|_| Ubig::random_below(&mut rng, &key.n))
             .collect();
-        let mut collector = session.collector(BatchOp::Sign);
-        assert_eq!(collector.op(), BatchOp::Sign);
-        for (want_id, m) in ms.iter().enumerate() {
-            assert_eq!(collector.submit(m.clone()).unwrap(), want_id);
-            // A rejected request never disturbs the queue or the ids.
-            let err = collector.submit(key.n.clone()).unwrap_err();
+        let (server, id) = fill_only_server(&key, ms.len());
+        let mut tickets = Vec::new();
+        for m in &ms {
+            tickets.push(server.try_submit(id, BatchOp::Sign, m.clone()).unwrap());
+            // A rejected request never disturbs the shard.
             assert_eq!(
-                err,
+                server
+                    .try_submit(id, BatchOp::Sign, key.n.clone())
+                    .unwrap_err(),
                 MmmError::OperandOutOfRange {
-                    lane: want_id + 1,
+                    lane: 0,
                     bound: OperandBound::N
                 }
             );
         }
-        assert_eq!(collector.len(), ms.len());
-        let sigs = collector.flush().unwrap();
-        assert_eq!(sigs, sign_batch_with(&key, &ms, EngineKind::Cios));
-        assert!(collector.is_empty());
-        assert_eq!(collector.flush().unwrap_err(), MmmError::EmptyBatch);
+        // One ticket per request: each answers its own submission.
+        let want = session_for(EngineKind::Cios, &key).sign(&ms).unwrap();
+        let got: Vec<Ubig> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
+        assert_eq!(got, want);
+        let stats = server.stats();
+        assert_eq!(stats.rejected_invalid, ms.len() as u64);
+        assert_eq!(stats.fill_flushes, 1, "five requests, one full shard");
+        server.shutdown();
     }
 
     #[test]
     fn drain_returns_the_unflushed_tail_with_ids() {
         let key = keypair(32, 96);
-        let session = session_for(EngineKind::Cios, &key);
-        let mut collector = session.collector(BatchOp::Sign);
+        let (server, id) = fill_only_server(&key, 64);
         let ms = [Ubig::from(7u64), Ubig::from(11u64), Ubig::from(13u64)];
-        for m in &ms {
-            collector.submit(m.clone()).unwrap();
+        let tickets: Vec<_> = ms
+            .iter()
+            .map(|m| server.try_submit(id, BatchOp::Sign, m.clone()).unwrap())
+            .collect();
+        await_until(|| server.pending_depth() == ms.len());
+        assert!(tickets.iter().all(|t| !t.is_ready()), "nothing flushed yet");
+        // Shutdown drains the unflushed shard and answers each ticket.
+        server.shutdown();
+        let want = session_for(EngineKind::Cios, &key).sign(&ms).unwrap();
+        for (ticket, want) in tickets.into_iter().zip(want) {
+            assert_eq!(ticket.wait(), Ok(want));
         }
-        let drained = collector.drain();
-        assert_eq!(
-            drained,
-            ms.iter()
-                .cloned()
-                .enumerate()
-                .collect::<Vec<(usize, Ubig)>>()
-        );
-        assert!(collector.is_empty());
-        assert_eq!(collector.flush().unwrap_err(), MmmError::EmptyBatch);
-        // Ids restart densely after a drain.
-        assert_eq!(collector.submit(Ubig::from(1u64)).unwrap(), 0);
-        assert_eq!(collector.drain(), vec![(0, Ubig::from(1u64))]);
     }
 
     #[test]
     fn collector_full_shards_tracks_configured_width() {
         let key = keypair(32, 95);
-        let config = EngineConfig::default().with_shard_lanes(2).unwrap();
-        let session = KeyedSession::new(key.clone(), config).unwrap();
-        let mut collector = session.collector(BatchOp::Decrypt);
-        assert_eq!(collector.full_shards(), 0);
-        for i in 0..5 {
-            collector.submit(Ubig::from(i as u64)).unwrap();
+        let (server, id) = fill_only_server(&key, 2);
+        let tickets: Vec<_> = (0..5u64)
+            .map(|i| {
+                server
+                    .try_submit(id, BatchOp::Decrypt, Ubig::from(i))
+                    .unwrap()
+            })
+            .collect();
+        // Two full 2-lane shards flush on fill; the fifth request waits.
+        await_until(|| tickets[..4].iter().all(|t| t.is_ready()) && server.pending_depth() == 1);
+        assert_eq!(server.stats().fill_flushes, 2);
+        assert!(!tickets[4].is_ready());
+        server.shutdown();
+        for (i, ticket) in tickets.into_iter().enumerate() {
+            let c = Ubig::from(i as u64);
+            assert_eq!(ticket.wait(), Ok(c.modpow(&key.d, &key.n)));
         }
-        assert_eq!(collector.full_shards(), 2);
     }
 }

@@ -22,10 +22,10 @@
 //!   `R = 2^{l+3}` multiplier, naive interleaved modular
 //!   multiplication, high-radix iteration models),
 //! * [`rsa`] and [`ecc`] — the two public-key applications the paper
-//!   targets, including batched many-client sign/verify and the typed
-//!   serving API (`rsa::server`: fallible `KeyedSession` +
-//!   `BatchCollector` request aggregation, configured through
-//!   `core::config::EngineConfig`).
+//!   targets, with typed per-key sessions (`rsa::KeyedSession`,
+//!   `ecc::CurveSession`) configured through
+//!   `core::config::EngineConfig` and served to independent clients by
+//!   one workload-neutral serving plane (`core::serve`).
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for
 //! paper-vs-measured results. Start with `examples/quickstart.rs`.

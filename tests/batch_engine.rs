@@ -11,8 +11,8 @@ use montgomery_systolic::core::batch::{mont_mul_many, BitSlicedBatch, Sequential
 use montgomery_systolic::core::expo_batch::BatchModExp;
 use montgomery_systolic::core::modgen::random_safe_params;
 use montgomery_systolic::core::wave_packed::PackedMmmc;
-use montgomery_systolic::core::{BatchMontMul, MontMul};
-use montgomery_systolic::rsa::{decrypt_crt, decrypt_crt_batch, RsaKeyPair};
+use montgomery_systolic::core::{BatchMontMul, EngineConfig, MontMul};
+use montgomery_systolic::rsa::{decrypt_crt, KeyedSession, RsaKeyPair};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -123,7 +123,8 @@ proptest! {
         let cs: Vec<Ubig> = (0..lanes)
             .map(|_| Ubig::random_below(&mut rng, &kp.n))
             .collect();
-        let got = decrypt_crt_batch(&kp, &cs);
+        let config = EngineConfig::from_env().expect("clean MMM_* environment");
+        let got = KeyedSession::new(kp.clone(), config).unwrap().decrypt_crt(&cs).unwrap();
         for k in 0..lanes {
             prop_assert_eq!(
                 &got[k],

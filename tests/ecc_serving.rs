@@ -1,77 +1,30 @@
 //! The ECC serving surface end to end: batched ECDSA verification
 //! against an independent known-answer vector and an in-test affine
-//! signer, ECDH round trips, collector ordering/error semantics, and
+//! signer, ECDH round trips, served ordering/error semantics, and
 //! cross-backend result identity. Honors `MMM_ENGINE` through
 //! `EngineConfig::from_env` so the CI backend sweep drives the same
 //! assertions on every engine.
 
+mod common;
+
+use common::{aff_mul, await_until, ecdsa_sign};
 use montgomery_systolic::bigint::Ubig;
+use montgomery_systolic::core::serve::{KeyId, Server};
 use montgomery_systolic::core::{EngineConfig, EngineKind, HardeningMode, MmmError};
 use montgomery_systolic::ecc::curves::{p256, CurveSpec};
-use montgomery_systolic::ecc::serve::{CurveSession, EcdhRequest, EcdsaRequest};
+use montgomery_systolic::ecc::serve::{
+    CurveOp, CurveRequest, CurveResponse, CurveSession, EcdhRequest, EcdsaRequest,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::time::Duration;
 
 fn config() -> EngineConfig {
     EngineConfig::from_env().expect("clean MMM_* environment")
 }
 
-// ---------------------------------------------------------------------
-// Plain affine reference arithmetic (independent of every engine and
-// of the Jacobian/Montgomery machinery under test).
-// ---------------------------------------------------------------------
-
-type Aff = Option<(Ubig, Ubig)>;
-
-fn inv_mod(x: &Ubig, p: &Ubig) -> Ubig {
-    x.rem(p).modinv(p).expect("inverse exists for test inputs")
-}
-
-fn aff_add(p: &Ubig, a: &Ubig, p1: &Aff, p2: &Aff) -> Aff {
-    match (p1, p2) {
-        (None, q) => q.clone(),
-        (q, None) => q.clone(),
-        (Some((x1, y1)), Some((x2, y2))) => {
-            if x1 == x2 && y1.modadd(y2, p).is_zero() {
-                return None;
-            }
-            let l = if x1 == x2 && y1 == y2 {
-                let num = Ubig::from(3u64).modmul(&x1.modmul(x1, p), p).modadd(a, p);
-                num.modmul(&inv_mod(&y1.modadd(y1, p), p), p)
-            } else {
-                y2.modsub(y1, p).modmul(&inv_mod(&x2.modsub(x1, p), p), p)
-            };
-            let x3 = l.modmul(&l, p).modsub(x1, p).modsub(x2, p);
-            let y3 = l.modmul(&x1.modsub(&x3, p), p).modsub(y1, p);
-            Some((x3, y3))
-        }
-    }
-}
-
-fn aff_mul(p: &Ubig, a: &Ubig, k: &Ubig, pt: &Aff) -> Aff {
-    let mut acc: Aff = None;
-    for i in (0..k.bit_len()).rev() {
-        acc = aff_add(p, a, &acc, &acc.clone());
-        if k.bit(i) {
-            acc = aff_add(p, a, &acc, pt);
-        }
-    }
-    acc
-}
-
-/// Textbook ECDSA signing over the affine reference: `r = x([k]G) mod
-/// n`, `s = k⁻¹(z + r·d) mod n`. The chosen `k` values in the tests
-/// never produce `r = 0` or `s = 0`.
-fn ecdsa_sign(spec: &CurveSpec, z: &Ubig, d: &Ubig, k: &Ubig) -> (Ubig, Ubig) {
-    let g = Some((spec.gx.clone(), spec.gy.clone()));
-    let (rx, _) = aff_mul(&spec.p, &spec.a, k, &g).expect("k < order");
-    let n = &spec.order;
-    let r = rx.rem(n);
-    assert!(!r.is_zero(), "test nonce produced r = 0");
-    let s = inv_mod(k, n).modmul(&z.rem(n).modadd(&r.modmul(&d.rem(n), n), n), n);
-    assert!(!s.is_zero(), "test nonce produced s = 0");
-    (r, s)
-}
+// The plain affine reference arithmetic (`aff_mul`, `ecdsa_sign`) is
+// shared with the serving-plane suites in `tests/common`.
 
 // ---------------------------------------------------------------------
 // Known-answer test: RFC 6979 §A.2.5, P-256 + SHA-256, message
@@ -250,52 +203,67 @@ fn hardened_session_is_result_identical() {
 }
 
 // ---------------------------------------------------------------------
-// Collector semantics: ordering, validation, drain, empty flush.
+// Collector semantics, now the serving plane's shard aggregation:
+// ordering (one ticket per request), submit-time validation, fill
+// flushes at the configured width, and the shutdown drain.
 // ---------------------------------------------------------------------
+
+/// A one-worker curve server whose deadline never fires within a test:
+/// only a full shard or the shutdown drain can flush.
+fn fill_only_server(spec: CurveSpec, config: EngineConfig) -> (Server<CurveSession>, KeyId) {
+    let config = config
+        .with_workers(1)
+        .unwrap()
+        .with_flush_deadline(Duration::from_secs(600));
+    let mut builder = Server::builder(config);
+    let id = builder.add_key(spec).unwrap();
+    (builder.build().unwrap(), id)
+}
 
 #[test]
 fn ecdsa_collector_orders_validates_and_drains() {
     let spec = p256();
-    let session = CurveSession::new(spec.clone(), config()).unwrap();
+    let (server, id) = fill_only_server(spec.clone(), config());
     let good = rfc6979_sample_request();
-    let mut c = session.ecdsa_collector();
-    assert!(c.is_empty());
-    assert!(matches!(c.flush(), Err(MmmError::EmptyBatch)));
     let mut tampered = good.clone();
     tampered.s = tampered.s.modadd(&Ubig::one(), &spec.order);
-    assert_eq!(c.submit(good.clone()).unwrap(), 0);
-    assert_eq!(c.submit(tampered).unwrap(), 1);
-    // Off-curve key bounces with the would-be id; queue intact.
-    let mut off = good.clone();
+    let submit =
+        |req: EcdsaRequest| server.try_submit(id, CurveOp::EcdsaVerify, CurveRequest::Ecdsa(req));
+    let tickets = [submit(good.clone()).unwrap(), submit(tampered).unwrap()];
+    // An off-curve key bounces at submit; the shard is untouched.
+    let mut off = good;
     off.qy = off.qy.modadd(&Ubig::one(), &spec.p);
     assert!(matches!(
-        c.submit(off),
-        Err(MmmError::PointNotOnCurve { lane: 2 })
+        submit(off),
+        Err(MmmError::PointNotOnCurve { lane: 0 })
     ));
-    assert_eq!(c.len(), 2);
-    assert_eq!(c.full_shards(), 0);
-    let verdicts = c.flush().unwrap();
-    assert_eq!(verdicts, vec![true, false]);
-    assert!(c.is_empty());
-    // Drain returns ids with requests.
-    c.submit(good).unwrap();
-    let drained = c.drain();
-    assert_eq!(drained.len(), 1);
-    assert_eq!(drained[0].0, 0);
-    assert!(c.is_empty());
+    await_until(|| server.pending_depth() == 2);
+    let stats = server.stats();
+    assert_eq!((stats.fill_flushes, stats.rejected_invalid), (0, 1));
+    // Shutdown drains the pending shard and answers each ticket.
+    server.shutdown();
+    let verdicts: Vec<_> = tickets.into_iter().map(|t| t.wait()).collect();
+    assert_eq!(
+        verdicts,
+        vec![
+            Ok(CurveResponse::Verdict(true)),
+            Ok(CurveResponse::Verdict(false))
+        ]
+    );
 }
 
 #[test]
 fn ecdh_collector_matches_direct_calls_across_shards() {
-    // Shard width 2 forces the 5-request queue across three shards;
-    // order must still be submission order.
-    let session = CurveSession::new(
+    // Shard width 2 splits the 5 requests into two fill flushes and a
+    // remainder the shutdown drain answers; each ticket still carries
+    // its own request's secret.
+    let (server, id) = fill_only_server(
         tiny_spec(),
         EngineConfig::default()
             .with_shard_lanes(2)
             .expect("2 is a valid shard width"),
-    )
-    .unwrap();
+    );
+    let session = server.session(id).unwrap();
     let pts: Vec<(Ubig, Ubig)> = session
         .scalar_mul_base(&[
             Ubig::from(1u64),
@@ -318,10 +286,18 @@ fn ecdh_collector_matches_direct_calls_across_shards() {
         })
         .collect();
     let direct = session.ecdh(&reqs).unwrap();
-    let mut c = session.ecdh_collector();
-    for (i, r) in reqs.iter().enumerate() {
-        assert_eq!(c.submit(r.clone()).unwrap(), i);
+    let tickets: Vec<_> = reqs
+        .iter()
+        .map(|r| {
+            server
+                .try_submit(id, CurveOp::Ecdh, CurveRequest::Ecdh(r.clone()))
+                .unwrap()
+        })
+        .collect();
+    await_until(|| tickets[..4].iter().all(|t| t.is_ready()) && server.pending_depth() == 1);
+    assert_eq!(server.stats().fill_flushes, 2);
+    server.shutdown();
+    for (ticket, want) in tickets.into_iter().zip(direct) {
+        assert_eq!(ticket.wait(), Ok(CurveResponse::Secret(want)));
     }
-    assert_eq!(c.full_shards(), 2);
-    assert_eq!(c.flush().unwrap(), direct);
 }

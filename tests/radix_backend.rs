@@ -13,11 +13,11 @@ use montgomery_systolic::core::cios::{CiosBatch, CiosMont};
 use montgomery_systolic::core::cios52::{
     digits52_to_limbs, limbs_to_digits52, Cios52Batch, Cios52Kernel, DIGIT_BITS, DIGIT_MASK,
 };
-use montgomery_systolic::core::expo_batch::{modexp_many_with, BatchModExp};
+use montgomery_systolic::core::expo_batch::{try_modexp_many, BatchModExp};
 use montgomery_systolic::core::modgen::{random_operand, random_safe_params};
 use montgomery_systolic::core::montgomery::MontgomeryParams;
 use montgomery_systolic::core::wave_packed::PackedMmmc;
-use montgomery_systolic::core::{BatchMontMul, EngineKind, MontMul};
+use montgomery_systolic::core::{BatchMontMul, EngineConfig, EngineKind, MontMul};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -107,7 +107,11 @@ proptest! {
         // Sweep *every* backend (not a hardcoded pair) so the next
         // EngineKind addition is covered automatically.
         let want_mul = mont_mul_many_with(&params, &xs, &ys, EngineKind::ALL[0]);
-        let want_exp = modexp_many_with(&params, &ms, &es, EngineKind::ALL[0]);
+        let modexp = |kind| {
+            let config = EngineConfig::default().with_backend(kind);
+            try_modexp_many(&params, &ms, &es, &config).unwrap()
+        };
+        let want_exp = modexp(EngineKind::ALL[0]);
         for kind in &EngineKind::ALL[1..] {
             prop_assert_eq!(
                 mont_mul_many_with(&params, &xs, &ys, *kind),
@@ -116,9 +120,9 @@ proptest! {
                 kind.name()
             );
             prop_assert_eq!(
-                modexp_many_with(&params, &ms, &es, *kind),
+                modexp(*kind),
                 want_exp.clone(),
-                "modexp_many_with({})",
+                "try_modexp_many({})",
                 kind.name()
             );
         }

@@ -1,52 +1,83 @@
-//! The serving layer end to end: `KeyedSession` + `BatchCollector`
-//! against the legacy batch entry points — results must be
-//! bit-identical in submission order on **both** backends, and the
-//! aggregation bookkeeping (ids, shard fill, error recovery) must
-//! behave like a server can rely on.
+//! The serving layer end to end: `KeyedSession` behind the `Server`
+//! front-end against the session's own slice API — each ticket must
+//! carry exactly its request's bits on **every** backend, and the
+//! aggregation bookkeeping (one ticket per request, shard fill, the
+//! shutdown drain) must behave like a server can rely on.
 
+mod common;
+
+use common::await_until;
 use montgomery_systolic::bigint::Ubig;
 use montgomery_systolic::core::config::{EngineConfig, WindowPolicy};
-use montgomery_systolic::core::error::MmmError;
 use montgomery_systolic::core::EngineKind;
-use montgomery_systolic::rsa::{
-    decrypt_crt_batch, decrypt_crt_batch_with, sign_batch_with, BatchOp, KeyedSession, RsaKeyPair,
-};
+use montgomery_systolic::rsa::{BatchOp, KeyId, KeyedSession, RsaKeyPair, Server};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::time::Duration;
 
 fn keypair(bits: usize, seed: u64) -> RsaKeyPair {
     let mut rng = StdRng::seed_from_u64(seed);
     RsaKeyPair::generate(&mut rng, bits, 12)
 }
 
+fn server_on(key: &RsaKeyPair, config: EngineConfig) -> (Server, KeyId) {
+    let mut builder = Server::builder(config);
+    let id = builder.add_key(key.clone()).unwrap();
+    (builder.build().unwrap(), id)
+}
+
+fn fast_deadline(kind: EngineKind) -> EngineConfig {
+    EngineConfig::default()
+        .with_backend(kind)
+        .with_workers(2)
+        .unwrap()
+        .with_flush_deadline(Duration::from_millis(1))
+}
+
+// The `collector_*` tests pin the server's per-(key, op) shard
+// aggregation — the one request collector in the workspace.
+
 #[test]
 fn collector_is_bit_identical_to_decrypt_crt_batch_on_both_backends() {
     let key = keypair(64, 601);
     let mut rng = StdRng::seed_from_u64(602);
     // 70 singleton submissions: crosses the 64-lane shard boundary,
-    // so the collector must aggregate a full shard plus a remainder.
+    // so the server must fill one shard and drain the remainder.
     let ms: Vec<Ubig> = (0..70)
         .map(|_| Ubig::random_below(&mut rng, &key.n))
         .collect();
     let cs: Vec<Ubig> = ms.iter().map(|m| m.modpow(&key.e, &key.n)).collect();
-    let want = decrypt_crt_batch(&key, &cs);
-    assert_eq!(want, ms, "oracle roundtrip");
     for kind in EngineKind::ALL {
-        let session =
-            KeyedSession::new(key.clone(), EngineConfig::default().with_backend(kind)).unwrap();
-        let mut collector = session.collector(BatchOp::DecryptCrt);
-        for (want_id, c) in cs.iter().enumerate() {
-            assert_eq!(collector.submit(c.clone()).unwrap(), want_id);
-        }
-        assert_eq!(collector.full_shards(), 1, "70 requests = 1 full shard");
-        let got = collector.flush().unwrap();
+        let config = EngineConfig::default().with_backend(kind);
+        let want = KeyedSession::new(key.clone(), config.clone())
+            .unwrap()
+            .decrypt_crt(&cs)
+            .unwrap();
+        assert_eq!(want, ms, "oracle roundtrip ({})", kind.name());
+        // No deadline flush inside the test: only fill and drain.
+        let config = config
+            .with_workers(1)
+            .unwrap()
+            .with_flush_deadline(Duration::from_secs(600));
+        let (server, id) = server_on(&key, config);
+        let tickets: Vec<_> = cs
+            .iter()
+            .map(|c| {
+                server
+                    .try_submit(id, BatchOp::DecryptCrt, c.clone())
+                    .unwrap()
+            })
+            .collect();
+        await_until(|| tickets[..64].iter().all(|t| t.is_ready()) && server.pending_depth() == 6);
+        assert_eq!(server.stats().fill_flushes, 1, "70 requests = 1 full shard");
+        server.shutdown();
+        let got: Vec<Ubig> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
         assert_eq!(
             got,
-            decrypt_crt_batch_with(&key, &cs, kind),
-            "submission order, bit for bit ({})",
+            want,
+            "one ticket per request, bit for bit ({})",
             kind.name()
         );
-        assert_eq!(got, want, "cross-backend agreement ({})", kind.name());
     }
 }
 
@@ -60,30 +91,35 @@ fn collector_sign_flow_matches_batch_signing() {
     for kind in EngineKind::ALL {
         let session =
             KeyedSession::new(key.clone(), EngineConfig::default().with_backend(kind)).unwrap();
-        let mut collector = session.collector(BatchOp::Sign);
-        for m in &ms {
-            collector.submit(m.clone()).unwrap();
-        }
-        let sigs = collector.flush().unwrap();
-        assert_eq!(sigs, sign_batch_with(&key, &ms, kind), "{}", kind.name());
+        let (server, id) = server_on(&key, fast_deadline(kind));
+        let tickets: Vec<_> = ms
+            .iter()
+            .map(|m| server.try_submit(id, BatchOp::Sign, m.clone()).unwrap())
+            .collect();
+        let sigs: Vec<Ubig> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
+        assert_eq!(sigs, session.sign(&ms).unwrap(), "{}", kind.name());
         assert!(session.verify(&ms, &sigs).unwrap().into_iter().all(|ok| ok));
+        server.shutdown();
     }
 }
 
 #[test]
 fn collector_flush_drains_and_can_refill() {
     let key = keypair(32, 605);
-    let session = KeyedSession::new(key.clone(), EngineConfig::default()).unwrap();
-    let mut collector = session.collector(BatchOp::DecryptCrt);
-    assert_eq!(collector.flush().unwrap_err(), MmmError::EmptyBatch);
+    let (server, id) = server_on(&key, fast_deadline(EngineKind::Cios));
     let m = Ubig::from(12345u64).rem(&key.n);
     let c = m.modpow(&key.e, &key.n);
-    // Two rounds through the same collector: ids restart per flush.
-    for _ in 0..2 {
-        assert_eq!(collector.submit(c.clone()).unwrap(), 0);
-        assert_eq!(collector.flush().unwrap(), vec![m.clone()]);
-        assert!(collector.is_empty());
+    // Two rounds through the same server: each flush empties the
+    // shard, and the next request opens a fresh one.
+    for round in 1..=2u64 {
+        let ticket = server
+            .try_submit(id, BatchOp::DecryptCrt, c.clone())
+            .unwrap();
+        assert_eq!(ticket.wait(), Ok(m.clone()));
+        await_until(|| server.pending_depth() == 0);
+        assert_eq!(server.stats().completed_ok, round);
     }
+    server.shutdown();
 }
 
 #[test]
@@ -94,7 +130,9 @@ fn session_honors_window_policy_and_shard_width() {
         .map(|_| Ubig::random_below(&mut rng, &key.n))
         .collect();
     let cs: Vec<Ubig> = ms.iter().map(|m| m.modpow(&key.e, &key.n)).collect();
-    let want = decrypt_crt_batch(&key, &cs);
+    let oracle = KeyedSession::new(key.clone(), EngineConfig::default()).unwrap();
+    let want = oracle.decrypt_crt(&cs).unwrap();
+    let want_sigs = oracle.sign(&ms).unwrap();
     // Every window width and a narrow shard must change schedule and
     // fan-out, never results.
     for w in [1usize, 2, 4, 6] {
@@ -105,10 +143,7 @@ fn session_honors_window_policy_and_shard_width() {
             .unwrap();
         let session = KeyedSession::new(key.clone(), config).unwrap();
         assert_eq!(session.decrypt_crt(&cs).unwrap(), want, "w={w}");
-        assert_eq!(
-            session.sign(&ms).unwrap(),
-            sign_batch_with(&key, &ms, EngineKind::Cios)
-        );
+        assert_eq!(session.sign(&ms).unwrap(), want_sigs, "w={w}");
     }
 }
 
