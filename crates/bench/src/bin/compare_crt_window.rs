@@ -1,13 +1,14 @@
 //! Serving-path comparison: full-width multiply-always batch
-//! decryption (the original batched-decrypt schedule) versus the windowed
-//! full-width scan versus windowed batched **CRT** decryption, at 64
-//! lanes. Emits `BENCH_crt_window.json`.
+//! decryption (the w=1 scan, Algorithm 3 over every lane) versus the
+//! windowed full-width scan versus windowed batched **CRT** decryption,
+//! at 64 lanes. Emits `BENCH_crt_window.json`.
 //!
 //! For each RSA key size it measures, per operation (one full
 //! decryption of one lane):
 //!
 //! * `full_always` — one 64-lane batch on a full-width engine,
-//!   square-and-multiply-always (the PR 1 baseline);
+//!   square-and-multiply-always: the w=1 scan, whose top bit is a
+//!   table lookup rather than a squaring of `1̄`;
 //! * `full_window` — same engine, fixed-window scan at the
 //!   cost-model-picked width (isolates the windowing win);
 //! * `crt_window` — [`mmm_rsa::KeyedSession::decrypt_crt`]: two half-width
@@ -41,9 +42,9 @@ use mmm_bench::hosttime::time_ns_per_call;
 use mmm_bigint::Ubig;
 use mmm_core::batch::{BitSlicedBatch, MAX_LANES};
 use mmm_core::cios52::Cios52Kernel;
-use mmm_core::expo_window::best_fixed_window;
 use mmm_core::montgomery::MontgomeryParams;
-use mmm_core::{BatchModExp, EngineConfig, EngineKind};
+use mmm_core::scan::best_fixed_window;
+use mmm_core::{BatchModExp, EngineConfig, EngineKind, ScalarSet, WindowPolicy};
 use mmm_rsa::{KeyedSession, RsaKeyPair};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -57,6 +58,18 @@ struct Row {
     crt_window_ns: f64,
     modexp_always_ns: f64,
     modexp_window_ns: f64,
+}
+
+/// The full-width scan at `window` (1 = multiply-always) with per-lane
+/// exponents.
+fn scan(
+    me: &mut BatchModExp<BitSlicedBatch>,
+    ms: &[Ubig],
+    es: &[Ubig],
+    window: usize,
+) -> Vec<Ubig> {
+    me.try_modexp(ms, ScalarSet::PerLane(es), WindowPolicy::Fixed(window))
+        .expect("reduced messages, one 64-lane batch, window from the cost model")
 }
 
 fn main() {
@@ -116,13 +129,9 @@ fn main() {
         // engine's arithmetic.
         {
             let mut always = BatchModExp::new(BitSlicedBatch::new(params.clone()));
-            assert_eq!(always.modexp_batch(&cs, &ds), ms, "multiply-always oracle");
+            assert_eq!(scan(&mut always, &cs, &ds, 1), ms, "multiply-always oracle");
             let mut windowed = BatchModExp::new(BitSlicedBatch::new(params.clone()));
-            assert_eq!(
-                windowed.modexp_batch_windowed(&cs, &ds, window),
-                ms,
-                "windowed oracle"
-            );
+            assert_eq!(scan(&mut windowed, &cs, &ds, window), ms, "windowed oracle");
             assert_eq!(
                 crt.decrypt_crt(&cs).unwrap(),
                 ms,
@@ -152,12 +161,17 @@ fn main() {
 
         let mut engine_always = BatchModExp::new(BitSlicedBatch::new(params.clone()));
         let full_always_ns = time_ns_per_call(budget_ms, || {
-            black_box(engine_always.modexp_batch(black_box(&cs), black_box(&ds)));
+            black_box(scan(&mut engine_always, black_box(&cs), black_box(&ds), 1));
         }) / MAX_LANES as f64;
 
         let mut engine_window = BatchModExp::new(BitSlicedBatch::new(params.clone()));
         let full_window_ns = time_ns_per_call(budget_ms, || {
-            black_box(engine_window.modexp_batch_windowed(black_box(&cs), black_box(&ds), window));
+            black_box(scan(
+                &mut engine_window,
+                black_box(&cs),
+                black_box(&ds),
+                window,
+            ));
         }) / MAX_LANES as f64;
 
         let crt_window_ns = time_ns_per_call(budget_ms, || {
@@ -175,20 +189,25 @@ fn main() {
         {
             let mut always = BatchModExp::new(BitSlicedBatch::new(params.clone()));
             let mut windowed = BatchModExp::new(BitSlicedBatch::new(params.clone()));
-            let a = always.modexp_batch(&ms, &es);
+            let a = scan(&mut always, &ms, &es, 1);
             assert_eq!(
-                windowed.modexp_batch_windowed(&ms, &es, window),
+                scan(&mut windowed, &ms, &es, window),
                 a,
                 "mixed-traffic oracle"
             );
         }
         let mut modexp_always = BatchModExp::new(BitSlicedBatch::new(params.clone()));
         let modexp_always_ns = time_ns_per_call(budget_ms, || {
-            black_box(modexp_always.modexp_batch(black_box(&ms), black_box(&es)));
+            black_box(scan(&mut modexp_always, black_box(&ms), black_box(&es), 1));
         }) / MAX_LANES as f64;
         let mut modexp_window = BatchModExp::new(BitSlicedBatch::new(params.clone()));
         let modexp_window_ns = time_ns_per_call(budget_ms, || {
-            black_box(modexp_window.modexp_batch_windowed(black_box(&ms), black_box(&es), window));
+            black_box(scan(
+                &mut modexp_window,
+                black_box(&ms),
+                black_box(&es),
+                window,
+            ));
         }) / MAX_LANES as f64;
 
         println!(

@@ -57,12 +57,13 @@ pub const DEFAULT_QUEUE_BOUND: usize = 1024;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WindowPolicy {
     /// Let the shared cost model
-    /// ([`crate::expo_window::best_fixed_window`]) pick per batch from
-    /// the longest exponent — the right default for mixed traffic.
+    /// ([`crate::scan::best_fixed_window`]) pick per batch from the
+    /// longest exponent — the right default for mixed traffic.
     #[default]
     Auto,
     /// Always use this window width (validated to `1..=8` by
-    /// [`EngineConfig::with_window`]).
+    /// [`EngineConfig::with_window`]). `Fixed(1)` is the paper's
+    /// Algorithm 3, square-and-multiply-always.
     Fixed(usize),
 }
 

@@ -1,6 +1,6 @@
 //! Backend dispatch: one [`EngineKind`] switch selecting which batch
 //! Montgomery multiplier runs under every pooled entry point
-//! (`mont_mul_many`, `try_modexp_many*`, the `mmm-rsa` and `mmm-ecc`
+//! (`try_mont_mul_many`, `try_modexp_many*`, the `mmm-rsa` and `mmm-ecc`
 //! sessions).
 //!
 //! Every backend implements the identical Algorithm-2 contract and

@@ -1,49 +1,43 @@
-//! Batched modular exponentiation: Algorithm 3 and its fixed-window
-//! (k-ary) evolution over all lanes of a [`BatchMontMul`] engine at
-//! once, with **per-lane exponents**.
+//! Batched modular exponentiation: the fixed-window (k-ary) scan
+//! over all lanes of a [`BatchMontMul`] engine at once, with
+//! **per-lane exponents** or one exponent shared by every lane.
 //!
 //! Lanes run in lockstep, so per-lane data may never change *which*
-//! batched operations run — only *what* each lane feeds them:
+//! batched operations run — only *what* each lane feeds them. Per lane
+//! the scan precomputes the batched power table
+//! `M̄⁰ = 1̄, M̄¹, …, M̄^{2^w−1}` (all digit values, lockstep across
+//! lanes), then pays `w` batched squarings plus **one** batched
+//! multiplication per `w`-bit window — lanes whose window digit is 0
+//! multiply by `M̄⁰ = 1̄`, a no-op modulo `N` that keeps the schedule
+//! identical across lanes. At `w = 1` this is the paper's Algorithm 3,
+//! square-and-multiply-always, with the top bit a table lookup; at RSA
+//! sizes the cost-model width cuts batched work by ~35–40% (see
+//! [`crate::scan::expected_fixed_window_muls`];
+//! [`crate::scan::best_fixed_window`] picks `w` under
+//! [`WindowPolicy::Auto`]).
 //!
-//! * [`BatchModExp::modexp_batch`] is the *square-and-multiply-always*
-//!   scan: every bit position costs one batched squaring and one
-//!   batched multiplication, where lanes whose exponent bit is clear
-//!   multiply by the Montgomery one (`R mod N`) instead of `M̄` — a
-//!   no-op modulo `N` that keeps the wave schedule identical across
-//!   lanes.
-//! * [`BatchModExp::modexp_batch_windowed`] is the fixed-window scan:
-//!   per lane it precomputes the batched power table
-//!   `M̄⁰, M̄¹, …, M̄^{2^w−1}` (all digit values, lockstep across
-//!   lanes), then pays `w` batched squarings plus **one** batched
-//!   multiplication per `w`-bit window — lanes whose window digit is 0
-//!   multiply by `M̄⁰ = 1̄` so the schedule stays uniform. At RSA
-//!   sizes this cuts batched work by ~35–40% (see
-//!   [`crate::expo_window::expected_fixed_window_muls`], the shared
-//!   cost model; [`crate::expo_window::best_fixed_window`] picks `w`).
-//!
-//! In both scans, lanes with short exponents simply coast: positions
-//! above a lane's length select the Montgomery one automatically, and
-//! steps where *no* lane has a set bit (or nonzero digit) are skipped
-//! entirely. Note the side-channel consequence: the schedule depends
-//! on the OR of all lanes' exponent bits, so a *full* mixed-traffic
-//! batch leaks little, but a single-lane batch degrades to a scan
-//! whose operation count follows that lane's exponent (visible in
-//! [`BatchExpoStats::skipped_multiplications`] and
-//! `consumed_cycles`) — and the windowed variant additionally indexes
-//! its table with secret digits (a data-dependent memory access
-//! pattern).
+//! Lanes with short exponents simply coast: positions above a lane's
+//! length select the Montgomery one automatically, and windows where
+//! *no* lane has a nonzero digit are skipped entirely. Note the
+//! side-channel consequence: the schedule depends on the OR of all
+//! lanes' exponent digits, so a *full* mixed-traffic batch leaks
+//! little, but a single-lane batch degrades to a scan whose operation
+//! count follows that lane's exponent (visible in
+//! [`BatchExpoStats::skipped_multiplications`] and `consumed_cycles`)
+//! — and the table is indexed with secret digits (a data-dependent
+//! memory access pattern).
 //!
 //! Both leaks are closed when the bound engine reports
 //! [`HardeningMode::Hardened`](crate::config::HardeningMode::Hardened)
 //! (DESIGN.md §12): the skip-when-all-zero optimization is disabled
-//! (every step multiplies, digit-0 lanes by `1̄`), and every secret-indexed table read is replaced by a
-//! branchless **full-table sweep** — all `2^w` rows are loaded every
-//! time and masked-accumulated ([`mmm_bigint::ct::or_assign_masked`])
-//! so the memory trace is digit-independent. Results stay bit-identical
-//! to the unhardened scan; the cost is the disabled skips plus the
-//! sweep (measured in `BENCH_radix.json`). Protocol-level blinding
-//! (`mmm-rsa`'s session decryption) layers on top for defense in
-//! depth.
+//! (every step multiplies, digit-0 lanes by `1̄`), and every
+//! secret-indexed table read is replaced by a branchless **full-table
+//! sweep** — all `2^w` rows are loaded every time and masked-accumulated
+//! ([`mmm_bigint::ct::or_assign_masked`]) so the memory trace is
+//! digit-independent. Results stay bit-identical to the unhardened
+//! scan; the cost is the disabled skips plus the sweep (measured in
+//! `BENCH_radix.json`). Protocol-level blinding (`mmm-rsa`'s session
+//! decryption) layers on top for defense in depth.
 //!
 //! [`try_modexp_many`] extends the batch to arbitrarily many lanes by
 //! sharding into 64-lane groups fanned out with rayon, each shard on a
@@ -53,16 +47,13 @@
 use crate::batch::MAX_LANES;
 use crate::config::{EngineConfig, WindowPolicy};
 use crate::error::{validate_reduced, MmmError};
-use crate::expo_window::best_fixed_window;
 use crate::montgomery::MontgomeryParams;
 use crate::pool;
-use crate::scan::{run_windowed_scan, ScalarSet, WindowScanClient};
+use crate::scan::{best_fixed_window, run_windowed_scan, ScalarSet, WindowScanClient};
 use crate::traits::BatchMontMul;
-use crate::verify::VerifiedEngine;
 use mmm_bigint::ct::{or_assign_masked, Choice};
 use mmm_bigint::limbs::Limb;
 use mmm_bigint::Ubig;
-use rayon::prelude::*;
 
 /// Constant-time selection of `table[d][k]` into `buf`: zeroes the
 /// buffer, then visits **every** row of the batched power table,
@@ -159,12 +150,12 @@ pub struct BatchExpoStats {
     /// digit) set.
     pub skipped_multiplications: u64,
     /// Batched multiplications spent building the fixed-window power
-    /// table (0 for the binary scan).
+    /// table (0 at `w = 1`, whose table is just `1̄` and `M̄`).
     pub table_muls: u64,
     /// Batched Montgomery multiplications total: squarings +
     /// multiplications + `table_muls` + pre/post transforms. This is
     /// the figure that reconciles with the
-    /// [`crate::expo_window::expected_fixed_window_muls`] cost model.
+    /// [`crate::scan::expected_fixed_window_muls`] cost model.
     pub total_batch_muls: u64,
 }
 
@@ -199,9 +190,56 @@ impl<E: BatchMontMul> BatchModExp<E> {
         &self.engine
     }
 
-    /// Validates a batch of messages against the engine contract and
-    /// returns the modulus.
-    fn try_check_batch(&self, ms: &[Ubig]) -> Result<Ubig, MmmError> {
+    /// Computes `ms[k] ^ e_k mod N` for every lane `k` at once with the
+    /// lockstep fixed-window scan — the one scan body behind every
+    /// batched exponentiation. `es` holds one exponent per lane or one
+    /// shared by every lane (the serving shape: one RSA key, many
+    /// requests, and no per-lane exponent clones). `window` is a fixed
+    /// width in `1..=8` or [`WindowPolicy::Auto`], the cost-model
+    /// width ([`best_fixed_window`]) for the longest exponent.
+    ///
+    /// Per lane, the batched table `M̄⁰ = 1̄, M̄¹, …, M̄^{2^w − 1}` is
+    /// built first (`2^w − 2` batched multiplications — every digit
+    /// value is materialized so digit selection never perturbs the
+    /// schedule). The exponent is then scanned `w` bits at a time from
+    /// the top ([`run_windowed_scan`]): the leading window is a pure
+    /// table lookup, and each further window costs `w` batched
+    /// squarings plus one multiply-always batched multiplication in
+    /// which lane `k` selects `table[digit_k]`. Windows where **every**
+    /// lane's digit is 0 are skipped unless the engine is hardened.
+    ///
+    /// The scan itself is allocation-free once warm: squarings
+    /// ping-pong between two reusable lane buffers through
+    /// [`BatchMontMul::mont_mul_batch_into`], and the per-lane
+    /// multiplier selection reuses limb capacity via
+    /// `Ubig::clone_from`.
+    ///
+    /// Every input rejection is a typed [`MmmError`]: a per-lane
+    /// exponent count that differs from `ms`, a fixed window outside
+    /// `1..=8`, an empty batch, more lanes than the engine accepts, or
+    /// a message `≥ N` (naming the lane).
+    pub fn try_modexp(
+        &mut self,
+        ms: &[Ubig],
+        es: ScalarSet<'_>,
+        window: WindowPolicy,
+    ) -> Result<Vec<Ubig>, MmmError> {
+        if let ScalarSet::PerLane(es) = es {
+            if ms.len() != es.len() {
+                return Err(MmmError::LengthMismatch {
+                    left: ms.len(),
+                    right: es.len(),
+                });
+            }
+        }
+        let t = es.max_bit_len();
+        let window = match window {
+            WindowPolicy::Auto => best_fixed_window(t.max(1)),
+            WindowPolicy::Fixed(w) => w,
+        };
+        if !(1..=8).contains(&window) {
+            return Err(MmmError::WindowOutOfRange { window });
+        }
         if ms.is_empty() {
             return Err(MmmError::EmptyBatch);
         }
@@ -211,221 +249,21 @@ impl<E: BatchMontMul> BatchModExp<E> {
                 max_lanes: self.engine.max_lanes(),
             });
         }
-        let n = self.engine.params().n().clone();
-        validate_reduced(&n, ms)?;
-        Ok(n)
-    }
-
-    /// Validates the per-lane exponent slice length.
-    fn try_check_exponents(ms: &[Ubig], es: &[Ubig]) -> Result<(), MmmError> {
-        if ms.len() != es.len() {
-            return Err(MmmError::LengthMismatch {
-                left: ms.len(),
-                right: es.len(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Computes `ms[k] ^ es[k] mod N` for every lane `k` at once.
-    ///
-    /// # Panics
-    /// Panics on empty input, mismatched lengths, more lanes than the
-    /// engine accepts, or any message `≥ N`;
-    /// [`BatchModExp::try_modexp_batch`] is the fallible variant.
-    pub fn modexp_batch(&mut self, ms: &[Ubig], es: &[Ubig]) -> Vec<Ubig> {
-        self.try_modexp_batch(ms, es)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`BatchModExp::modexp_batch`]: every input rejection
-    /// comes back as a typed [`MmmError`] (the out-of-range variant
-    /// names the offending lane) instead of a panic.
-    pub fn try_modexp_batch(&mut self, ms: &[Ubig], es: &[Ubig]) -> Result<Vec<Ubig>, MmmError> {
-        Self::try_check_exponents(ms, es)?;
-        let n = self.try_check_batch(ms)?;
         let params = self.engine.params().clone();
+        let n = params.n();
+        validate_reduced(n, ms)?;
         let lanes = ms.len();
 
         // Pre-computation: M̄_k = Mont(M_k, R² mod N) = M_k·R mod 2N.
-        let r2 = params.r2_mod_n();
-        let r2s = vec![r2; lanes];
-        let mbars = self.engine.mont_mul_batch(ms, &r2s);
-        self.stats.total_batch_muls += 1;
-
-        // Montgomery one, the neutral multiplier for bit-clear lanes.
-        let one_bar = params.r_mod_n();
-
-        // Square-and-multiply-always from the longest exponent down;
-        // A starts at 1̄ so no per-lane leading-bit special case.
-        // Hardened engines force the multiply on every position (the
-        // skip would leak the OR of the lanes' bits) and select each
-        // lane's multiplier branchlessly.
-        let t = es.iter().map(Ubig::bit_len).max().unwrap_or(0);
-        let hardened = self.engine.hardening().is_hardened();
-        let mut sel_buf = vec![0 as Limb; params.n().limbs().len() + 1];
-        let mut a = vec![one_bar.clone(); lanes];
-        let mut multiplier = vec![one_bar.clone(); lanes];
-        for i in (0..t).rev() {
-            a = self.engine.mont_mul_batch(&a, &a);
-            self.stats.squarings += 1;
-            self.stats.total_batch_muls += 1;
-            let mut any_set = hardened;
-            for k in 0..lanes {
-                if hardened {
-                    // Two-way select between M̄_k and 1̄: the secret
-                    // bit drives masks, never control flow or indices.
-                    let c = Choice::from_bool(es[k].bit(i));
-                    sel_buf.fill(0);
-                    or_assign_masked(&mut sel_buf, mbars[k].limbs(), c);
-                    or_assign_masked(&mut sel_buf, one_bar.limbs(), !c);
-                    multiplier[k] = Ubig::from_limbs(sel_buf.clone());
-                } else if es[k].bit(i) {
-                    multiplier[k].clone_from(&mbars[k]);
-                    any_set = true;
-                } else {
-                    multiplier[k].clone_from(&one_bar);
-                }
-            }
-            if any_set {
-                a = self.engine.mont_mul_batch(&a, &multiplier);
-                self.stats.multiplications += 1;
-                self.stats.total_batch_muls += 1;
-            } else {
-                self.stats.skipped_multiplications += 1;
-            }
-        }
-
-        // Post-processing: Mont(A, 1) ≤ N, equality only for A ≡ 0.
-        let ones = vec![Ubig::one(); lanes];
-        let out = self.engine.mont_mul_batch(&a, &ones);
-        self.stats.total_batch_muls += 1;
-        if hardened {
-            // The hardened engine already canonicalized (A ≡ 0 comes
-            // out as 0, not N), so the r == n compare — itself a
-            // result-dependent branch — never runs.
-            return Ok(out);
-        }
-        Ok(out
-            .into_iter()
-            .map(|r| {
-                if r == n {
-                    Ubig::zero()
-                } else {
-                    debug_assert!(r < n, "post-processing bound violated");
-                    r
-                }
-            })
-            .collect())
-    }
-
-    /// Computes `ms[k] ^ es[k] mod N` for every lane `k` at once with
-    /// the lockstep fixed-window (k-ary) scan, `window ∈ [1, 8]`.
-    ///
-    /// Per lane, the batched table `M̄⁰ = 1̄, M̄¹, …, M̄^{2^w − 1}` is
-    /// built first (`2^w − 2` batched multiplications — every digit
-    /// value is materialized so digit selection never perturbs the
-    /// schedule). The exponent is then scanned `w` bits at a time from
-    /// the top: the leading window is a pure table lookup (squaring
-    /// `1̄` would be wasted work), and each further window costs `w`
-    /// batched squarings plus one multiply-always batched
-    /// multiplication in which lane `k` selects `table[digit_k]` —
-    /// digit-0 lanes pick `1̄`, so short-exponent lanes coast exactly
-    /// as in the binary scan. Windows where **every** lane's digit is
-    /// 0 are skipped.
-    ///
-    /// The scan itself is allocation-free once warm: squarings
-    /// ping-pong between two reusable lane buffers through
-    /// [`BatchMontMul::mont_mul_batch_into`], and the per-lane
-    /// multiplier selection reuses limb capacity via
-    /// `Ubig::clone_from`.
-    ///
-    /// # Panics
-    /// Panics on empty input, mismatched lengths, more lanes than the
-    /// engine accepts, any message `≥ N`, or `window ∉ [1, 8]`;
-    /// [`BatchModExp::try_modexp_batch_windowed`] is the fallible
-    /// variant.
-    pub fn modexp_batch_windowed(&mut self, ms: &[Ubig], es: &[Ubig], window: usize) -> Vec<Ubig> {
-        self.try_modexp_batch_windowed(ms, es, window)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`BatchModExp::modexp_batch_windowed`].
-    pub fn try_modexp_batch_windowed(
-        &mut self,
-        ms: &[Ubig],
-        es: &[Ubig],
-        window: usize,
-    ) -> Result<Vec<Ubig>, MmmError> {
-        Self::try_check_exponents(ms, es)?;
-        self.windowed_core(ms, ScalarSet::PerLane(es), window)
-    }
-
-    /// [`BatchModExp::modexp_batch_windowed`] with one exponent shared
-    /// by **every** lane — the serving shape (one RSA key, many
-    /// requests). Semantically identical to passing `window` copies of
-    /// `e` per lane, but no per-lane exponent clones are ever
-    /// materialized: the scan reads digits straight from `e`.
-    ///
-    /// # Panics
-    /// Same contract as [`BatchModExp::modexp_batch_windowed`];
-    /// [`BatchModExp::try_modexp_batch_shared_windowed`] is the
-    /// fallible variant.
-    pub fn modexp_batch_shared_windowed(
-        &mut self,
-        ms: &[Ubig],
-        e: &Ubig,
-        window: usize,
-    ) -> Vec<Ubig> {
-        self.try_modexp_batch_shared_windowed(ms, e, window)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`BatchModExp::modexp_batch_shared_windowed`].
-    pub fn try_modexp_batch_shared_windowed(
-        &mut self,
-        ms: &[Ubig],
-        e: &Ubig,
-        window: usize,
-    ) -> Result<Vec<Ubig>, MmmError> {
-        self.windowed_core(ms, ScalarSet::Shared(e), window)
-    }
-
-    /// The lockstep fixed-window scan over either exponent shape —
-    /// the one implementation behind every windowed entry point. The
-    /// schedule itself (windows, doubles, combines, skip policy) is
-    /// the lifted workload-neutral core
-    /// ([`crate::scan::run_windowed_scan`]); this method supplies the
-    /// modexp workload: domain transforms, the batched power table,
-    /// and the [`ModexpScanClient`] group operations.
-    fn windowed_core(
-        &mut self,
-        ms: &[Ubig],
-        es: ScalarSet<'_>,
-        window: usize,
-    ) -> Result<Vec<Ubig>, MmmError> {
-        if !(1..=8).contains(&window) {
-            return Err(MmmError::WindowOutOfRange { window });
-        }
-        let n = self.try_check_batch(ms)?;
-        let params = self.engine.params().clone();
-        let lanes = ms.len();
-
-        // Pre-computation: M̄_k = Mont(M_k, R² mod N) = M_k·R mod 2N.
-        let r2 = params.r2_mod_n();
-        let r2s = vec![r2; lanes];
+        let r2s = vec![params.r2_mod_n(); lanes];
         let mbars = self.engine.mont_mul_batch(ms, &r2s);
         self.stats.total_batch_muls += 1;
         let one_bar = params.r_mod_n();
-
-        // All-zero exponents (`windows == 0`) skip the table build
-        // entirely — the result is 1̄ per lane and no table entry
-        // would ever be read.
-        let t = es.max_bit_len();
-        let windows = t.div_ceil(window);
-        let table_len = if windows == 0 { 0 } else { 1usize << window };
 
         // Batched power table: table[d][k] = M̄_k^d, every d < 2^w.
+        // All-zero exponents skip it entirely — the result is 1̄ per
+        // lane and no table entry would ever be read.
+        let table_len = if t == 0 { 0 } else { 1usize << window };
         let mut table: Vec<Vec<Ubig>> = Vec::with_capacity(table_len);
         if table_len > 0 {
             table.push(vec![one_bar.clone(); lanes]);
@@ -447,7 +285,7 @@ impl<E: BatchMontMul> BatchModExp<E> {
         let mut client = ModexpScanClient {
             engine: &mut self.engine,
             table,
-            sel_buf: vec![0 as Limb; params.n().limbs().len() + 1],
+            sel_buf: vec![0 as Limb; n.limbs().len() + 1],
             multiplier: vec![one_bar.clone(); lanes],
             one_bar,
             lanes,
@@ -474,48 +312,39 @@ impl<E: BatchMontMul> BatchModExp<E> {
         Ok(out
             .into_iter()
             .map(|r| {
-                if r == n {
+                if &r == n {
                     Ubig::zero()
                 } else {
-                    debug_assert!(r < n, "post-processing bound violated");
+                    debug_assert!(&r < n, "post-processing bound violated");
                     r
                 }
             })
             .collect())
     }
 
-    /// [`Self::modexp_batch_windowed`] with the window width the
-    /// shared cost model ([`best_fixed_window`]) picks for the longest
-    /// exponent in the batch.
-    pub fn modexp_batch_auto(&mut self, ms: &[Ubig], es: &[Ubig]) -> Vec<Ubig> {
-        self.try_modexp_batch_auto(ms, es)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`BatchModExp::modexp_batch_auto`].
-    pub fn try_modexp_batch_auto(
-        &mut self,
-        ms: &[Ubig],
-        es: &[Ubig],
-    ) -> Result<Vec<Ubig>, MmmError> {
-        let t = es.iter().map(Ubig::bit_len).max().unwrap_or(0);
-        self.try_modexp_batch_windowed(ms, es, best_fixed_window(t.max(1)))
-    }
-
-    /// [`Self::modexp_batch_shared_windowed`] with the auto-picked
-    /// window width for the shared exponent.
-    pub fn modexp_batch_shared_auto(&mut self, ms: &[Ubig], e: &Ubig) -> Vec<Ubig> {
-        self.try_modexp_batch_shared_auto(ms, e)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`BatchModExp::modexp_batch_shared_auto`].
-    pub fn try_modexp_batch_shared_auto(
+    /// [`BatchModExp::try_modexp`] with one exponent `e` shared by
+    /// every lane at a fixed `window`.
+    ///
+    /// # Panics
+    /// Panics on any input [`BatchModExp::try_modexp`] rejects.
+    pub fn modexp_batch_shared_windowed(
         &mut self,
         ms: &[Ubig],
         e: &Ubig,
-    ) -> Result<Vec<Ubig>, MmmError> {
-        self.try_modexp_batch_shared_windowed(ms, e, best_fixed_window(e.bit_len().max(1)))
+        window: usize,
+    ) -> Vec<Ubig> {
+        self.try_modexp(ms, ScalarSet::Shared(e), WindowPolicy::Fixed(window))
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`BatchModExp::try_modexp`] with one exponent `e` shared by
+    /// every lane at the cost-model window width.
+    ///
+    /// # Panics
+    /// Panics on any input [`BatchModExp::try_modexp`] rejects.
+    pub fn modexp_batch_shared_auto(&mut self, ms: &[Ubig], e: &Ubig) -> Vec<Ubig> {
+        self.try_modexp(ms, ScalarSet::Shared(e), WindowPolicy::Auto)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Total simulated cycles consumed by the engine, if it counts.
@@ -545,68 +374,31 @@ pub fn try_modexp_many(
             right: es.len(),
         });
     }
+    validate_reduced(params.n(), ms)?;
     let width = config.shard_lanes().clamp(1, MAX_LANES);
     let shards: Vec<(&[Ubig], &[Ubig])> = ms.chunks(width).zip(es.chunks(width)).collect();
-    run_sharded(params, ms, config, shards, |me, (sm, se)| {
-        match config.window() {
-            WindowPolicy::Auto => me.modexp_batch_auto(sm, se),
-            WindowPolicy::Fixed(w) => me.modexp_batch_windowed(sm, se, w),
-        }
+    pool::run_sharded(params, config, shards, |engine, (sm, se)| {
+        BatchModExp::new(engine).try_modexp(sm, ScalarSet::PerLane(se), config.window())
     })
 }
 
 /// [`try_modexp_many`] for the common serving shape where every lane
 /// uses the **same** exponent (one RSA key, many requests): `ms[k] ^ e
 /// mod N` for all `k`. The shared exponent is never cloned per lane —
-/// each shard's windowed scan reads its digits straight from `e`
-/// through [`BatchModExp::modexp_batch_shared_auto`]. Empty input is
-/// `Ok(vec![])`.
+/// each shard's scan reads its digits straight from `e`. Empty input
+/// is `Ok(vec![])`.
 pub fn try_modexp_many_shared(
     params: &MontgomeryParams,
     ms: &[Ubig],
     e: &Ubig,
     config: &EngineConfig,
 ) -> Result<Vec<Ubig>, MmmError> {
+    validate_reduced(params.n(), ms)?;
     let width = config.shard_lanes().clamp(1, MAX_LANES);
     let shards: Vec<&[Ubig]> = ms.chunks(width).collect();
-    run_sharded(params, ms, config, shards, |me, sm| match config.window() {
-        WindowPolicy::Auto => me.modexp_batch_shared_auto(sm, e),
-        WindowPolicy::Fixed(w) => me.modexp_batch_shared_windowed(sm, e, w),
+    pool::run_sharded(params, config, shards, |engine, sm| {
+        BatchModExp::new(engine).try_modexp(sm, ScalarSet::Shared(e), config.window())
     })
-}
-
-/// The sharding core of both many-paths: validates `ms` against the
-/// configured backend, then runs `scan` on every shard in parallel and
-/// concatenates the results in order. Dispatch is quarantine-aware
-/// ([`crate::verify::Quarantine::effective_kind`]), every shard engine
-/// runs behind the policy-gated [`VerifiedEngine`] self-check, and
-/// under [`HardeningMode::Hardened`](crate::config::HardeningMode::Hardened)
-/// each shard engine canonicalizes
-/// and the scan runs its constant-time schedule.
-fn run_sharded<T: Send>(
-    params: &MontgomeryParams,
-    ms: &[Ubig],
-    config: &EngineConfig,
-    shards: Vec<T>,
-    scan: impl Fn(&mut BatchModExp<VerifiedEngine<pool::PooledEngine>>, T) -> Vec<Ubig> + Sync,
-) -> Result<Vec<Ubig>, MmmError> {
-    config.backend().ensure_supports(params)?;
-    pool::try_global()?;
-    validate_reduced(params.n(), ms)?;
-    let ctx = config.verify_context();
-    let kind = ctx.quarantine.effective_kind(config.backend(), params);
-    Ok(shards
-        .into_par_iter()
-        .map(|shard| {
-            let mut engine = pool::global().checkout_kind(params, kind);
-            engine.set_hardening(config.hardening());
-            let mut me = BatchModExp::new(VerifiedEngine::new(engine, kind, ctx.clone()));
-            scan(&mut me, shard)
-        })
-        .collect::<Vec<Vec<Ubig>>>()
-        .into_iter()
-        .flatten()
-        .collect())
 }
 
 #[cfg(test)]
@@ -614,12 +406,32 @@ mod tests {
     use super::*;
     use crate::batch::{BitSlicedBatch, SequentialBatch};
     use crate::engine::EngineKind;
-    use crate::expo_window::expected_fixed_window_muls;
+    use crate::expo::ModExp;
     use crate::modgen::random_safe_params;
+    use crate::scan::{expected_fixed_window_muls, fixed_window_schedule};
     use crate::traits::SoftwareEngine;
     use crate::wave_packed::PackedMmmc;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Algorithm 3 over every lane: the w=1 scan.
+    const W1: WindowPolicy = WindowPolicy::Fixed(1);
+
+    /// `try_modexp` with per-lane exponents, panicking with the error's
+    /// Display text.
+    fn modexp<E: BatchMontMul>(
+        me: &mut BatchModExp<E>,
+        ms: &[Ubig],
+        es: &[Ubig],
+        window: WindowPolicy,
+    ) -> Vec<Ubig> {
+        me.try_modexp(ms, ScalarSet::PerLane(es), window)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    fn modpows(ms: &[Ubig], es: &[Ubig], n: &Ubig) -> Vec<Ubig> {
+        ms.iter().zip(es).map(|(m, e)| m.modpow(e, n)).collect()
+    }
 
     #[test]
     fn batch_modexp_matches_modpow_per_lane_exponents() {
@@ -641,10 +453,7 @@ mod tests {
             })
             .collect();
         let mut me = BatchModExp::new(BitSlicedBatch::new(p.clone()));
-        let got = me.modexp_batch(&ms, &es);
-        for k in 0..lanes {
-            assert_eq!(got[k], ms[k].modpow(&es[k], &n), "lane {k}");
-        }
+        assert_eq!(modexp(&mut me, &ms, &es, W1), modpows(&ms, &es, &n));
     }
 
     #[test]
@@ -656,10 +465,37 @@ mod tests {
             .collect();
         let es: Vec<Ubig> = (0..8).map(|_| Ubig::random_bits(&mut rng, 32)).collect();
         let mut batch = BatchModExp::new(BitSlicedBatch::new(p.clone()));
-        let got = batch.modexp_batch(&ms, &es);
+        let got = modexp(&mut batch, &ms, &es, W1);
         for k in 0..8 {
-            let mut solo = crate::expo::ModExp::new(PackedMmmc::new(p.clone()));
+            let mut solo = ModExp::new(PackedMmmc::new(p.clone()));
             assert_eq!(got[k], solo.modexp(&ms[k], &es[k]), "lane {k}");
+        }
+    }
+
+    #[test]
+    fn single_lane_w1_scan_is_algorithm_3() {
+        // One lane at w=1: the top bit is the table lookup A = M̄, every
+        // lower bit one squaring, every set lower bit one multiply —
+        // Algorithm 3's exact operation counts.
+        let mut rng = StdRng::seed_from_u64(320);
+        let p = random_safe_params(&mut rng, 48);
+        for _ in 0..4 {
+            let m = Ubig::random_below(&mut rng, p.n());
+            let mut e = Ubig::random_bits(&mut rng, 48);
+            e.set_bit(47, true);
+            let mut batch = BatchModExp::new(SequentialBatch::new(SoftwareEngine::new(p.clone())));
+            let mut solo = ModExp::new(SoftwareEngine::new(p.clone()));
+            let got = modexp(
+                &mut batch,
+                std::slice::from_ref(&m),
+                std::slice::from_ref(&e),
+                W1,
+            );
+            assert_eq!(got[0], solo.modexp(&m, &e));
+            let (b, s) = (batch.stats(), solo.stats());
+            assert_eq!(b.squarings, s.squarings);
+            assert_eq!(b.multiplications, s.multiplications);
+            assert_eq!(b.total_batch_muls, s.total_mont_muls);
         }
     }
 
@@ -673,10 +509,7 @@ mod tests {
             .collect();
         let es: Vec<Ubig> = (0..5).map(|_| Ubig::random_bits(&mut rng, 24)).collect();
         let mut me = BatchModExp::new(SequentialBatch::new(SoftwareEngine::new(p.clone())));
-        let got = me.modexp_batch(&ms, &es);
-        for k in 0..5 {
-            assert_eq!(got[k], ms[k].modpow(&es[k], p.n()), "lane {k}");
-        }
+        assert_eq!(modexp(&mut me, &ms, &es, W1), modpows(&ms, &es, p.n()));
     }
 
     #[test]
@@ -687,17 +520,23 @@ mod tests {
         // Lane 0: e = 0b101 (3 bits); lane 1: e = 0b1 (1 bit).
         let es = vec![Ubig::from(0b101u64), Ubig::from(1u64)];
         let mut me = BatchModExp::new(BitSlicedBatch::new(p.clone()));
-        let got = me.modexp_batch(&ms, &es);
-        assert_eq!(got[0], ms[0].modpow(&es[0], p.n()));
-        assert_eq!(got[1], ms[1].modpow(&es[1], p.n()));
+        assert_eq!(modexp(&mut me, &ms, &es, W1), modpows(&ms, &es, p.n()));
         let s = me.stats();
-        // 3 bit positions: 3 squarings; bit 1 is clear in both lanes,
-        // so one multiply step is skipped.
-        assert_eq!(s.squarings, 3);
-        assert_eq!(s.multiplications, 2);
+        // Bit 2 is the table lookup; bits 1 and 0 cost a squaring
+        // each. Bit 1 is clear in both lanes, so its multiply step is
+        // skipped.
+        assert_eq!(s.squarings, 2);
+        assert_eq!(s.multiplications, 1);
         assert_eq!(s.skipped_multiplications, 1);
-        // pre + 3 + 2 + post.
-        assert_eq!(s.total_batch_muls, 7);
+        // pre + 2 + 1 + post.
+        assert_eq!(s.total_batch_muls, 5);
+        // With the skipped step added back, the count is the skip-free
+        // model plus the two domain transforms.
+        let model = fixed_window_schedule(3, 1);
+        assert_eq!(
+            s.total_batch_muls + s.skipped_multiplications,
+            model.table_entries + model.doublings + model.combines + 2
+        );
     }
 
     #[test]
@@ -707,7 +546,10 @@ mod tests {
         let ms = vec![Ubig::from(5u64), Ubig::zero()];
         let es = vec![Ubig::zero(), Ubig::zero()];
         let mut me = BatchModExp::new(BitSlicedBatch::new(p.clone()));
-        assert_eq!(me.modexp_batch(&ms, &es), vec![Ubig::one(), Ubig::one()]);
+        assert_eq!(
+            modexp(&mut me, &ms, &es, W1),
+            vec![Ubig::one(), Ubig::one()]
+        );
     }
 
     #[test]
@@ -744,23 +586,21 @@ mod tests {
             Ubig::random_bits(&mut rng, 40),
         ] {
             let es = vec![e.clone(); ms.len()];
-            for w in [1usize, 3, 5] {
+            for window in [1usize, 3, 5]
+                .map(WindowPolicy::Fixed)
+                .into_iter()
+                .chain([WindowPolicy::Auto])
+            {
                 let mut shared = BatchModExp::new(BitSlicedBatch::new(p.clone()));
                 let mut cloned = BatchModExp::new(BitSlicedBatch::new(p.clone()));
                 assert_eq!(
-                    shared.modexp_batch_shared_windowed(&ms, &e, w),
-                    cloned.modexp_batch_windowed(&ms, &es, w),
-                    "w={w}"
+                    shared.try_modexp(&ms, ScalarSet::Shared(&e), window),
+                    cloned.try_modexp(&ms, ScalarSet::PerLane(&es), window),
+                    "{window:?}"
                 );
                 // Identical schedule, not just identical results.
-                assert_eq!(shared.stats(), cloned.stats(), "w={w}");
+                assert_eq!(shared.stats(), cloned.stats(), "{window:?}");
             }
-            let mut auto_shared = BatchModExp::new(BitSlicedBatch::new(p.clone()));
-            let mut auto_cloned = BatchModExp::new(BitSlicedBatch::new(p.clone()));
-            assert_eq!(
-                auto_shared.modexp_batch_shared_auto(&ms, &e),
-                auto_cloned.modexp_batch_auto(&ms, &es)
-            );
         }
     }
 
@@ -796,12 +636,14 @@ mod tests {
         let es: Vec<Ubig> = (0..lanes)
             .map(|k| Ubig::random_bits(&mut rng, (k * 11) % 49))
             .collect();
+        let want = modpows(&ms, &es, &n);
         for w in 1..=6 {
             let mut me = BatchModExp::new(BitSlicedBatch::new(p.clone()));
-            let got = me.modexp_batch_windowed(&ms, &es, w);
-            for k in 0..lanes {
-                assert_eq!(got[k], ms[k].modpow(&es[k], &n), "w={w} lane {k}");
-            }
+            assert_eq!(
+                modexp(&mut me, &ms, &es, WindowPolicy::Fixed(w)),
+                want,
+                "w={w}"
+            );
         }
     }
 
@@ -813,12 +655,11 @@ mod tests {
             .map(|_| Ubig::random_below(&mut rng, p.n()))
             .collect();
         let es: Vec<Ubig> = (0..7).map(|_| Ubig::random_bits(&mut rng, 40)).collect();
-        let mut binary = BatchModExp::new(BitSlicedBatch::new(p.clone()));
-        let want = binary.modexp_batch(&ms, &es);
-        let mut windowed = BatchModExp::new(BitSlicedBatch::new(p.clone()));
-        assert_eq!(windowed.modexp_batch_windowed(&ms, &es, 4), want);
-        let mut auto = BatchModExp::new(BitSlicedBatch::new(p.clone()));
-        assert_eq!(auto.modexp_batch_auto(&ms, &es), want);
+        let want = modpows(&ms, &es, p.n());
+        for window in [W1, WindowPolicy::Fixed(4), WindowPolicy::Auto] {
+            let mut me = BatchModExp::new(BitSlicedBatch::new(p.clone()));
+            assert_eq!(modexp(&mut me, &ms, &es, window), want, "{window:?}");
+        }
     }
 
     #[test]
@@ -830,10 +671,10 @@ mod tests {
             .collect();
         let es: Vec<Ubig> = (0..5).map(|_| Ubig::random_bits(&mut rng, 24)).collect();
         let mut me = BatchModExp::new(SequentialBatch::new(SoftwareEngine::new(p.clone())));
-        let got = me.modexp_batch_windowed(&ms, &es, 3);
-        for k in 0..5 {
-            assert_eq!(got[k], ms[k].modpow(&es[k], p.n()), "lane {k}");
-        }
+        assert_eq!(
+            modexp(&mut me, &ms, &es, WindowPolicy::Fixed(3)),
+            modpows(&ms, &es, p.n())
+        );
     }
 
     #[test]
@@ -850,7 +691,7 @@ mod tests {
         es[0].set_bit(127, true); // pin the batch's top bit
         let w = 4;
         let mut me = BatchModExp::new(BitSlicedBatch::new(p.clone()));
-        let _ = me.modexp_batch_windowed(&ms, &es, w);
+        let _ = modexp(&mut me, &ms, &es, WindowPolicy::Fixed(w));
         let s = me.stats();
         // Internal consistency: the total is the sum of its parts
         // plus the two domain transforms.
@@ -876,7 +717,7 @@ mod tests {
         let es = vec![Ubig::zero(), Ubig::zero()];
         let mut me = BatchModExp::new(BitSlicedBatch::new(p.clone()));
         assert_eq!(
-            me.modexp_batch_windowed(&ms, &es, 5),
+            modexp(&mut me, &ms, &es, WindowPolicy::Fixed(5)),
             vec![Ubig::one(), Ubig::one()]
         );
         // No power table is built for an all-zero batch: just the two
@@ -889,7 +730,8 @@ mod tests {
     #[test]
     fn windowed_cuts_batched_muls_at_rsa_sizes() {
         // The headline saving: ≥ 30% fewer batched multiplications at
-        // t = 512 with the auto-picked window (counted, not timed).
+        // t = 512 with the auto-picked window than at w = 1 (counted,
+        // not timed).
         let mut rng = StdRng::seed_from_u64(315);
         let p = random_safe_params(&mut rng, 512);
         let ms: Vec<Ubig> = (0..8)
@@ -899,10 +741,9 @@ mod tests {
         es[0].set_bit(511, true);
         let engine = SequentialBatch::new(SoftwareEngine::new(p.clone()));
         let mut binary = BatchModExp::new(engine.clone());
-        let want = binary.modexp_batch(&ms, &es);
+        let want = modexp(&mut binary, &ms, &es, W1);
         let mut windowed = BatchModExp::new(engine);
-        let got = windowed.modexp_batch_auto(&ms, &es);
-        assert_eq!(got, want);
+        assert_eq!(modexp(&mut windowed, &ms, &es, WindowPolicy::Auto), want);
         let nb = binary.stats().total_batch_muls;
         let nw = windowed.stats().total_batch_muls;
         assert!(
@@ -930,38 +771,37 @@ mod tests {
             Ubig::random_bits(&mut rng, 48),
             Ubig::from(65537u64),
         ];
+        let want = modpows(&ms, &es, p.n());
         for kind in EngineKind::ALL {
-            let mut hard_engine = kind.build(p.clone());
-            hard_engine.set_hardening(HardeningMode::Hardened);
-            let mut hard = BatchModExp::new(hard_engine);
-            let mut plain = BatchModExp::new(kind.build(p.clone()));
-            // Binary scan: identical results, zero skipped steps.
-            assert_eq!(
-                hard.modexp_batch(&ms, &es),
-                plain.modexp_batch(&ms, &es),
-                "{} binary",
-                kind.name()
-            );
-            assert_eq!(hard.stats().skipped_multiplications, 0, "{}", kind.name());
-            assert!(plain.stats().skipped_multiplications > 0, "{}", kind.name());
-            // Windowed scan: identical results across widths.
             for w in [1usize, 3, 4] {
-                let mut hw_engine = kind.build(p.clone());
-                hw_engine.set_hardening(HardeningMode::Hardened);
-                let mut hw = BatchModExp::new(hw_engine);
-                let mut pw = BatchModExp::new(kind.build(p.clone()));
+                let mut hard_engine = kind.build(p.clone());
+                hard_engine.set_hardening(HardeningMode::Hardened);
+                let mut hard = BatchModExp::new(hard_engine);
+                let mut plain = BatchModExp::new(kind.build(p.clone()));
+                let window = WindowPolicy::Fixed(w);
                 assert_eq!(
-                    hw.modexp_batch_windowed(&ms, &es, w),
-                    pw.modexp_batch_windowed(&ms, &es, w),
+                    modexp(&mut hard, &ms, &es, window),
+                    want,
                     "{} w={w}",
                     kind.name()
                 );
                 assert_eq!(
-                    hw.stats().skipped_multiplications,
+                    modexp(&mut plain, &ms, &es, window),
+                    want,
+                    "{} w={w}",
+                    kind.name()
+                );
+                assert_eq!(
+                    hard.stats().skipped_multiplications,
                     0,
                     "{} w={w}",
                     kind.name()
                 );
+                if w == 1 {
+                    // The sparse exponents leave all-zero bit
+                    // positions that the plain scan skips.
+                    assert!(plain.stats().skipped_multiplications > 0, "{}", kind.name());
+                }
             }
         }
     }
@@ -989,10 +829,12 @@ mod tests {
     fn windowed_rejects_bad_width() {
         let mut rng = StdRng::seed_from_u64(316);
         let p = random_safe_params(&mut rng, 8);
-        let _ = BatchModExp::new(BitSlicedBatch::new(p.clone())).modexp_batch_windowed(
+        let mut me = BatchModExp::new(BitSlicedBatch::new(p.clone()));
+        let _ = modexp(
+            &mut me,
             &[Ubig::one()],
             &[Ubig::one()],
-            9,
+            WindowPolicy::Fixed(9),
         );
     }
 
@@ -1002,7 +844,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(307);
         let p = random_safe_params(&mut rng, 8);
         let m = p.n().clone();
-        let _ = BatchModExp::new(BitSlicedBatch::new(p.clone()))
-            .modexp_batch(&[m], &[Ubig::from(2u64)]);
+        let mut me = BatchModExp::new(BitSlicedBatch::new(p.clone()));
+        let _ = modexp(&mut me, &[m], &[Ubig::from(2u64)], W1);
     }
 }

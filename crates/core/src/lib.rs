@@ -84,7 +84,6 @@ pub mod engine;
 pub mod error;
 pub mod expo;
 pub mod expo_batch;
-pub mod expo_window;
 pub mod mmmc;
 pub mod modgen;
 pub mod montgomery;

@@ -3,7 +3,7 @@
 //! bounded LRU eviction.
 //!
 //! The serving shape this workspace targets is *one key, many
-//! requests*: every batch entry point (`mont_mul_many`,
+//! requests*: every batch entry point (`try_mont_mul_many`,
 //! `try_modexp_many`, the `mmm-rsa` batched sign/verify/decrypt paths)
 //! used to rebuild `MontgomeryParams` — several wide divisions — and
 //! allocate a fresh engine on **every call**. Under sustained traffic
@@ -43,14 +43,17 @@
 //! workspace is a throughput simulator, not a hardened key store;
 //! nothing here is zeroized.
 //!
-//! The process-wide instance is [`global`].
+//! The process-wide instance is [`global`]; `run_sharded` is the one
+//! sharding loop the config-driven `*_many` entry points fan out on.
 
 use crate::config::EngineConfig;
 use crate::engine::{AnyBatchEngine, EngineKind};
 use crate::error::MmmError;
 use crate::montgomery::MontgomeryParams;
 use crate::traits::BatchMontMul;
+use crate::verify::VerifiedEngine;
 use mmm_bigint::Ubig;
+use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -450,6 +453,36 @@ pub fn try_global() -> Result<&'static EnginePool, MmmError> {
 /// Fails like [`try_global`] on a broken `MMM_*` environment.
 pub fn global_stats() -> Result<PoolStats, MmmError> {
     try_global().map(EnginePool::stats)
+}
+
+/// The sharding core of every config-driven `*_many` entry point:
+/// runs `run` on each shard in parallel, each on a warm engine from the
+/// [`global`] pool, and concatenates the results in shard order. This
+/// is the one place that decides which engine a shard runs on:
+/// dispatch is quarantine-aware
+/// ([`crate::verify::Quarantine::effective_kind`]), the engine carries
+/// the configured hardening, and it runs behind the policy-gated
+/// [`VerifiedEngine`] self-check. Callers validate their own operand
+/// bound first, so errors name the index in the caller's slice.
+pub(crate) fn run_sharded<T: Send>(
+    params: &MontgomeryParams,
+    config: &EngineConfig,
+    shards: Vec<T>,
+    run: impl Fn(VerifiedEngine<PooledEngine>, T) -> Result<Vec<Ubig>, MmmError> + Sync,
+) -> Result<Vec<Ubig>, MmmError> {
+    config.backend().ensure_supports(params)?;
+    let pool = try_global()?;
+    let ctx = config.verify_context();
+    let kind = ctx.quarantine.effective_kind(config.backend(), params);
+    let outs = shards
+        .into_par_iter()
+        .map(|shard| {
+            let mut engine = pool.checkout_kind(params, kind);
+            engine.set_hardening(config.hardening());
+            run(VerifiedEngine::new(engine, kind, ctx.clone()), shard)
+        })
+        .collect::<Result<Vec<Vec<Ubig>>, MmmError>>()?;
+    Ok(outs.into_iter().flatten().collect())
 }
 
 #[cfg(test)]

@@ -25,11 +25,13 @@
 //! operations in its own currency: for modexp a table entry, a double
 //! and a combine all cost one batched multiplication; for Jacobian ECC
 //! a double costs ~7 field multiplications and an add ~16. The RSA
-//! cost model ([`crate::expo_window::expected_fixed_window_muls`] /
-//! [`crate::expo_window::best_fixed_window`]) is the unit-weight
-//! instance of this one, so both paths keep a single tuning policy
-//! and the RSA schedules are bit-identical to the pre-lift code
-//! (pinned by the `BatchExpoStats` reconciliation tests).
+//! cost model ([`expected_fixed_window_muls`] / [`best_fixed_window`])
+//! is the unit-weight instance of this one, so both paths keep a single
+//! tuning policy (pinned by the `BatchExpoStats` reconciliation tests).
+//!
+//! At `w = 1` the scan is the paper's Algorithm 3, square-and-multiply
+//! from the top bit, with the top bit a table lookup instead of a
+//! squaring of the Montgomery one.
 
 use mmm_bigint::Ubig;
 
@@ -207,9 +209,8 @@ pub fn fixed_window_schedule(t: usize, w: usize) -> FixedWindowSchedule {
 /// The window width `w ∈ [1, 8]` minimizing the weighted cost
 /// `table_entries·table_cost + doublings·double_cost +
 /// combines·combine_cost` of [`fixed_window_schedule`] for a `t`-bit
-/// scalar. Ties break toward the smaller width (first minimum), so
-/// the unit-weight instance reproduces
-/// [`crate::expo_window::best_fixed_window`] exactly.
+/// scalar. Ties break toward the smaller width (first minimum);
+/// [`best_fixed_window`] is the unit-weight instance.
 pub fn best_fixed_window_weighted(
     t: usize,
     table_cost: f64,
@@ -225,6 +226,28 @@ pub fn best_fixed_window_weighted(
     (1..=8)
         .min_by(|&a, &b| cost(a).partial_cmp(&cost(b)).unwrap())
         .unwrap()
+}
+
+/// Expected **batched** Montgomery-multiplication count of the
+/// lockstep modexp scan
+/// ([`crate::expo_batch::BatchModExp::try_modexp`]) for a `t`-bit
+/// exponent at window `w`: the unit-weight [`fixed_window_schedule`]
+/// (a table entry, a doubling and a combine each cost one batched
+/// multiplication) plus the two domain transforms. Every window is
+/// charged a combine, because lanes scan in lockstep and a window is
+/// only skippable when **all** lanes have digit 0.
+pub fn expected_fixed_window_muls(t: usize, w: usize) -> f64 {
+    let s = fixed_window_schedule(t, w);
+    (s.table_entries + s.doublings + s.combines) as f64 + 2.0
+}
+
+/// The window width minimizing [`expected_fixed_window_muls`] for a
+/// `t`-bit exponent: the unit-weight instance of
+/// [`best_fixed_window_weighted`], so RSA and every other scan tenant
+/// (batched ECC, with point-operation weights) share one tuning
+/// policy.
+pub fn best_fixed_window(t: usize) -> usize {
+    best_fixed_window_weighted(t, 1.0, 1.0, 1.0)
 }
 
 #[cfg(test)]
@@ -382,6 +405,24 @@ mod tests {
         let unit = best_fixed_window_weighted(256, 1.0, 1.0, 1.0);
         assert!(cheap >= unit, "ECC weighting {cheap} vs unit {unit}");
         assert!((1..=8).contains(&cheap));
+    }
+
+    #[test]
+    fn fixed_window_model_beats_multiply_always_at_rsa_sizes() {
+        for t in [512usize, 1024, 2048] {
+            let w = best_fixed_window(t);
+            assert!((4..=8).contains(&w), "t={t} picked w={w}");
+            // Multiply-always is the w=1 instance of the same model.
+            let always = expected_fixed_window_muls(t, 1);
+            let windowed = expected_fixed_window_muls(t, w);
+            assert!(
+                windowed < always * 0.66,
+                "t={t}: windowed {windowed:.0} vs multiply-always {always:.0}"
+            );
+        }
+        // Degenerate exponents stay sane.
+        assert_eq!(expected_fixed_window_muls(0, 3), 2.0);
+        assert!(best_fixed_window(1) >= 1);
     }
 
     #[test]

@@ -22,7 +22,6 @@
 
 use crate::field::Fe;
 use mmm_bigint::Ubig;
-use mmm_core::error::MmmError;
 use mmm_core::montgomery::{mont_mul_alg2, MontgomeryParams};
 use mmm_core::traits::BatchMontMul;
 
@@ -291,13 +290,6 @@ impl<E: BatchMontMul> BatchFieldCtx<E> {
     /// double/combine steps).
     pub fn mul_into(&mut self, xs: &[Fe], ys: &[Fe], out: &mut Vec<Fe>) {
         self.engine.mont_mul_batch_into(xs, ys, out);
-    }
-
-    /// Fallible batch validation for serving entry points: checks the
-    /// lane count against the engine and every operand against the
-    /// `< 2N` bound without performing the multiplication.
-    pub fn try_check(&mut self, xs: &[Ubig], ys: &[Ubig]) -> Result<(), MmmError> {
-        self.engine.try_mont_mul_batch(xs, ys).map(|_| ())
     }
 }
 

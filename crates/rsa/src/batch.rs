@@ -24,8 +24,8 @@ use mmm_core::montgomery::MontgomeryParams;
 use mmm_core::pool;
 use mmm_core::verify::faults::inert_plan;
 use mmm_core::{
-    BatchModExp, BatchMontMul, EngineConfig, EngineKind, MmmError, VerifiedEngine, VerifyContext,
-    VerifyPolicy, WindowPolicy,
+    BatchModExp, BatchMontMul, EngineConfig, EngineKind, MmmError, ScalarSet, VerifiedEngine,
+    VerifyContext, VerifyPolicy,
 };
 use rayon::prelude::*;
 
@@ -91,7 +91,7 @@ pub(crate) fn decrypt_crt_core(
     } else {
         kind
     };
-    let mut ms = crt_halves(&plan, cs, run_kind, &ctx);
+    let mut ms = crt_halves(&plan, cs, run_kind, &ctx)?;
     if ctx.policy == VerifyPolicy::Off {
         return Ok(ms);
     }
@@ -114,7 +114,7 @@ pub(crate) fn decrypt_crt_core(
         };
     ctx.quarantine.record_fallback_retry();
     let bad_cs: Vec<Ubig> = bad.iter().map(|&k| cs[k].clone()).collect();
-    let retried = crt_halves(&plan, &bad_cs, fallback, &ctx);
+    let retried = crt_halves(&plan, &bad_cs, fallback, &ctx)?;
     let still_bad = crt_bad_lanes(&plan, &bad_cs, &retried, fallback)?;
     if let Some(&j) = still_bad.first() {
         return Err(MmmError::IntegrityViolation { lane: bad[j] });
@@ -132,7 +132,12 @@ pub(crate) fn decrypt_crt_core(
 /// [`VerifiedEngine`] (policy-gated residue self-checks), and the
 /// corruption-injection hooks for the pooled-param and CRT-half fault
 /// models are applied here — inert outside tests.
-fn crt_halves(plan: &CrtPlan<'_>, cs: &[Ubig], kind: EngineKind, ctx: &VerifyContext) -> Vec<Ubig> {
+fn crt_halves(
+    plan: &CrtPlan<'_>,
+    cs: &[Ubig],
+    kind: EngineKind,
+    ctx: &VerifyContext,
+) -> Result<Vec<Ubig>, MmmError> {
     // Fan out over (shard × prime half): the mod-p and mod-q runs of
     // a shard are independent, so they parallelize too — a queue of
     // ≤ 64 ciphertexts still fills two cores instead of one.
@@ -158,15 +163,12 @@ fn crt_halves(plan: &CrtPlan<'_>, cs: &[Ubig], kind: EngineKind, ctx: &VerifyCon
             // canonicalizing engines) — see DESIGN.md §12.
             engine.set_hardening(plan.config.hardening());
             let mut me = BatchModExp::new(VerifiedEngine::new(engine, kind, ctx.clone()));
-            let mut half = match plan.config.window() {
-                WindowPolicy::Auto => me.modexp_batch_shared_auto(&residues, d),
-                WindowPolicy::Fixed(w) => me.modexp_batch_shared_windowed(&residues, d, w),
-            };
+            let mut half = me.try_modexp(&residues, ScalarSet::Shared(d), plan.config.window())?;
             ctx.faults.corrupt_crt_half(&mut half, params.n());
-            half
+            Ok(half)
         })
-        .collect();
-    halves
+        .collect::<Result<_, MmmError>>()?;
+    Ok(halves
         .chunks(2)
         .flat_map(|pair| {
             let (mps, mqs) = (&pair[0], &pair[1]);
@@ -174,7 +176,7 @@ fn crt_halves(plan: &CrtPlan<'_>, cs: &[Ubig], kind: EngineKind, ctx: &VerifyCon
                 .zip(mqs)
                 .map(|(mp, mq)| crate::cipher::garner(plan.key, mp, mq))
         })
-        .collect()
+        .collect())
 }
 
 /// The verify-before-release pass: re-encrypts every candidate

@@ -55,3 +55,9 @@ pub use mmm_hdl as hdl;
 pub use mmm_rsa as rsa;
 
 pub use mmm_bigint::Ubig;
+
+/// Compiles and runs the README's Rust blocks as doctests, so its
+/// examples cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

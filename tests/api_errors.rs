@@ -1,18 +1,17 @@
 //! The typed-error contract of the serving API: every [`MmmError`]
 //! variant the issue calls out is reachable through public `try_*` /
 //! session entry points, and every `try_*` Ok path is bit-identical
-//! to its legacy panicking twin or the `modpow` oracle — on every
-//! backend.
+//! to the scalar Algorithm-2 or `modpow` oracle — on every backend.
 
 use montgomery_systolic::bigint::Ubig;
-use montgomery_systolic::core::batch::{mont_mul_many_with, try_mont_mul_many, BitSlicedBatch};
+use montgomery_systolic::core::batch::{try_mont_mul_many, BitSlicedBatch};
 use montgomery_systolic::core::cios::CiosBatch;
 use montgomery_systolic::core::config::{EngineConfig, WindowPolicy};
 use montgomery_systolic::core::error::{MmmError, OperandBound};
 use montgomery_systolic::core::expo_batch::{try_modexp_many, try_modexp_many_shared, BatchModExp};
 use montgomery_systolic::core::modgen::{random_operand, random_safe_params};
-use montgomery_systolic::core::montgomery::MontgomeryParams;
-use montgomery_systolic::core::{pool, BatchMontMul, EngineKind};
+use montgomery_systolic::core::montgomery::{mont_mul_alg2, MontgomeryParams};
+use montgomery_systolic::core::{pool, BatchMontMul, EngineKind, ScalarSet};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -107,22 +106,32 @@ fn length_mismatch_and_empty_batch() {
         MmmError::EmptyBatch
     );
     let mut me = BatchModExp::new(CiosBatch::new(params.clone()));
+    let w1 = WindowPolicy::Fixed(1);
     assert_eq!(
-        me.try_modexp_batch(&[], &[]).unwrap_err(),
+        me.try_modexp(&[], ScalarSet::PerLane(&[]), w1).unwrap_err(),
         MmmError::EmptyBatch
     );
     assert_eq!(
-        me.try_modexp_batch(&xs[..2], &xs[..1]).unwrap_err(),
+        me.try_modexp(&xs[..2], ScalarSet::PerLane(&xs[..1]), w1)
+            .unwrap_err(),
         MmmError::LengthMismatch { left: 2, right: 1 }
     );
     // A 65-lane direct batch call is too wide for one engine.
     let wide = vec![Ubig::one(); 65];
     assert_eq!(
-        me.try_modexp_batch(&wide, &wide).unwrap_err(),
+        me.try_modexp(&wide, ScalarSet::PerLane(&wide), w1)
+            .unwrap_err(),
         MmmError::BatchTooWide {
             lanes: 65,
             max_lanes: 64
         }
+    );
+    // A fixed window outside 1..=8 is refused by the scan itself,
+    // not only by the config builder.
+    assert_eq!(
+        me.try_modexp(&xs[..1], ScalarSet::Shared(&xs[0]), WindowPolicy::Fixed(9))
+            .unwrap_err(),
+        MmmError::WindowOutOfRange { window: 9 }
     );
 }
 
@@ -200,10 +209,9 @@ fn bad_config_strings_and_values_are_typed() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// `try_*` Ok paths are bit-identical to the legacy panicking
-    /// entry points (and, for the exponentiations whose twins are
-    /// gone, to `modpow`), lane for lane, on every backend — the
-    /// wrapper layer may add types, never bits.
+    /// `try_*` Ok paths are bit-identical to the scalar oracles
+    /// (`mont_mul_alg2` and `modpow`), lane for lane, on every backend
+    /// — the wrapper layer may add types, never bits.
     #[test]
     fn try_ok_paths_match_legacy_entry_points(
         l in 10usize..60,
@@ -220,9 +228,10 @@ proptest! {
         let e = Ubig::random_bits(&mut rng, l);
         for kind in EngineKind::ALL {
             let config = EngineConfig::default().with_backend(kind);
+            let want: Vec<Ubig> = xs.iter().zip(&ys).map(|(x, y)| mont_mul_alg2(&params, x, y)).collect();
             prop_assert_eq!(
                 try_mont_mul_many(&params, &xs, &ys, &config).unwrap(),
-                mont_mul_many_with(&params, &xs, &ys, kind),
+                want,
                 "mont_mul {}", kind.name()
             );
             let want: Vec<Ubig> = ms.iter().zip(&es).map(|(m, e)| m.modpow(e, params.n())).collect();

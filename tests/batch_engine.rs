@@ -1,17 +1,18 @@
 //! Cross-engine property tests for the bit-sliced batch engine: every
 //! lane of a batch must be **bit-identical** to a solo run of the
 //! packed wave model, across random widths spanning `u64` word
-//! boundaries and partial batches — the batched exponentiators
-//! (binary and fixed-window) must agree with the big-integer oracle —
+//! boundaries and partial batches — the batched exponentiator (at
+//! w = 1, which is Algorithm 3, and wider windows) must agree with the
+//! big-integer oracle —
 //! and batched CRT decryption must match the scalar CRT path lane for
 //! lane.
 
 use montgomery_systolic::bigint::Ubig;
-use montgomery_systolic::core::batch::{mont_mul_many, BitSlicedBatch, SequentialBatch};
+use montgomery_systolic::core::batch::{try_mont_mul_many, BitSlicedBatch, SequentialBatch};
 use montgomery_systolic::core::expo_batch::BatchModExp;
 use montgomery_systolic::core::modgen::random_safe_params;
 use montgomery_systolic::core::wave_packed::PackedMmmc;
-use montgomery_systolic::core::{BatchMontMul, EngineConfig, MontMul};
+use montgomery_systolic::core::{BatchMontMul, EngineConfig, MontMul, ScalarSet, WindowPolicy};
 use montgomery_systolic::rsa::{decrypt_crt, KeyedSession, RsaKeyPair};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -65,7 +66,7 @@ proptest! {
         let ys: Vec<Ubig> = (0..count)
             .map(|_| montgomery_systolic::core::modgen::random_operand(&mut rng, &params))
             .collect();
-        let got = mont_mul_many(&params, &xs, &ys);
+        let got = try_mont_mul_many(&params, &xs, &ys, &EngineConfig::default()).unwrap();
         let mut seq = SequentialBatch::new(PackedMmmc::new(params.clone()));
         let want = seq.mont_mul_batch(&xs, &ys);
         prop_assert_eq!(got, want);
@@ -92,7 +93,7 @@ proptest! {
             .map(|k| Ubig::random_bits(&mut rng, (k * 17) % (l + 1)))
             .collect();
         let mut me = BatchModExp::new(BitSlicedBatch::new(params.clone()));
-        let got = me.modexp_batch_windowed(&ms, &es, w);
+        let got = me.try_modexp(&ms, ScalarSet::PerLane(&es), WindowPolicy::Fixed(w)).unwrap();
         for k in 0..lanes {
             prop_assert_eq!(
                 &got[k],
@@ -151,7 +152,7 @@ proptest! {
             .map(|k| Ubig::random_bits(&mut rng, (k * 13) % (l + 1)))
             .collect();
         let mut me = BatchModExp::new(BitSlicedBatch::new(params.clone()));
-        let got = me.modexp_batch(&ms, &es);
+        let got = me.try_modexp(&ms, ScalarSet::PerLane(&es), WindowPolicy::Fixed(1)).unwrap();
         for k in 0..lanes {
             prop_assert_eq!(
                 &got[k],
@@ -177,7 +178,9 @@ fn windowed_modexp_word_boundary_widths() {
                 .collect();
             let es: Vec<Ubig> = (0..lanes).map(|_| Ubig::random_bits(&mut rng, l)).collect();
             let mut me = BatchModExp::new(BitSlicedBatch::new(params.clone()));
-            let got = me.modexp_batch_auto(&ms, &es);
+            let got = me
+                .try_modexp(&ms, ScalarSet::PerLane(&es), WindowPolicy::Auto)
+                .unwrap();
             for k in 0..lanes {
                 assert_eq!(
                     got[k],

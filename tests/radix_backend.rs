@@ -8,7 +8,7 @@
 //! digit-domain conversions.
 
 use montgomery_systolic::bigint::Ubig;
-use montgomery_systolic::core::batch::{mont_mul_many_with, BitSlicedBatch};
+use montgomery_systolic::core::batch::{try_mont_mul_many, BitSlicedBatch};
 use montgomery_systolic::core::cios::{CiosBatch, CiosMont};
 use montgomery_systolic::core::cios52::{
     digits52_to_limbs, limbs_to_digits52, Cios52Batch, Cios52Kernel, DIGIT_BITS, DIGIT_MASK,
@@ -17,7 +17,9 @@ use montgomery_systolic::core::expo_batch::{try_modexp_many, BatchModExp};
 use montgomery_systolic::core::modgen::{random_operand, random_safe_params};
 use montgomery_systolic::core::montgomery::MontgomeryParams;
 use montgomery_systolic::core::wave_packed::PackedMmmc;
-use montgomery_systolic::core::{BatchMontMul, EngineConfig, EngineKind, MontMul};
+use montgomery_systolic::core::{
+    BatchMontMul, EngineConfig, EngineKind, MontMul, ScalarSet, WindowPolicy,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -77,12 +79,13 @@ proptest! {
         let es: Vec<Ubig> = (0..lanes)
             .map(|k| Ubig::random_bits(&mut rng, (k * 17) % (l + 1)))
             .collect();
+        let (es_set, window) = (ScalarSet::PerLane(&es), WindowPolicy::Fixed(w));
         let mut cios = BatchModExp::new(CiosBatch::new(params.clone()));
-        let got = cios.modexp_batch_windowed(&ms, &es, w);
+        let got = cios.try_modexp(&ms, es_set, window).unwrap();
         let mut bits = BatchModExp::new(BitSlicedBatch::new(params.clone()));
-        prop_assert_eq!(&got, &bits.modexp_batch_windowed(&ms, &es, w), "w={}", w);
+        prop_assert_eq!(&got, &bits.try_modexp(&ms, es_set, window).unwrap(), "w={}", w);
         let mut c52 = BatchModExp::new(Cios52Batch::new(params.clone()));
-        prop_assert_eq!(&got, &c52.modexp_batch_windowed(&ms, &es, w), "cios52 w={}", w);
+        prop_assert_eq!(&got, &c52.try_modexp(&ms, es_set, window).unwrap(), "cios52 w={}", w);
         for k in 0..lanes {
             prop_assert_eq!(&got[k], &ms[k].modpow(&es[k], &n), "w={} lane {}", w, k);
         }
@@ -106,7 +109,11 @@ proptest! {
             .collect();
         // Sweep *every* backend (not a hardcoded pair) so the next
         // EngineKind addition is covered automatically.
-        let want_mul = mont_mul_many_with(&params, &xs, &ys, EngineKind::ALL[0]);
+        let mul = |kind| {
+            let config = EngineConfig::default().with_backend(kind);
+            try_mont_mul_many(&params, &xs, &ys, &config).unwrap()
+        };
+        let want_mul = mul(EngineKind::ALL[0]);
         let modexp = |kind| {
             let config = EngineConfig::default().with_backend(kind);
             try_modexp_many(&params, &ms, &es, &config).unwrap()
@@ -114,9 +121,9 @@ proptest! {
         let want_exp = modexp(EngineKind::ALL[0]);
         for kind in &EngineKind::ALL[1..] {
             prop_assert_eq!(
-                mont_mul_many_with(&params, &xs, &ys, *kind),
+                mul(*kind),
                 want_mul.clone(),
-                "mont_mul_many_with({})",
+                "try_mont_mul_many({})",
                 kind.name()
             );
             prop_assert_eq!(
@@ -248,10 +255,15 @@ fn windowed_modexp_cross_backend_word_boundary_widths() {
             let es: Vec<Ubig> = (0..lanes)
                 .map(|_| Ubig::random_bits(&mut rng, ebits))
                 .collect();
+            let es_set = ScalarSet::PerLane(&es);
             let mut cios = BatchModExp::new(CiosBatch::new(params.clone()));
-            let got = cios.modexp_batch_auto(&ms, &es);
+            let got = cios.try_modexp(&ms, es_set, WindowPolicy::Auto).unwrap();
             let mut bits = BatchModExp::new(BitSlicedBatch::new(params.clone()));
-            assert_eq!(got, bits.modexp_batch_auto(&ms, &es), "l={l} lanes={lanes}");
+            assert_eq!(
+                got,
+                bits.try_modexp(&ms, es_set, WindowPolicy::Auto).unwrap(),
+                "l={l} lanes={lanes}"
+            );
             for k in 0..lanes {
                 assert_eq!(got[k], ms[k].modpow(&es[k], &n), "l={l} lane {k}");
             }

@@ -10,6 +10,8 @@
 //! impossible, because a faulty CRT half is exactly the Bellcore
 //! fault-attack lever that factors `N`.
 
+use montgomery_systolic::core::batch::try_mont_mul_many;
+use montgomery_systolic::core::montgomery::mont_mul_alg2;
 use montgomery_systolic::core::verify::faults::CorruptionPlan;
 use montgomery_systolic::core::verify::{
     Quarantine, VerifiedEngine, VerifyContext, VerifyPolicy, QUARANTINE_THRESHOLD,
@@ -178,6 +180,35 @@ fn sampled_residue_checks_catch_mont_mul_corruption_at_the_configured_rate() {
     let stats = quarantine.stats();
     assert_eq!(stats.corrected, calls / 4, "one in four calls is checked");
     assert_eq!(stats.violations, calls / 4);
+}
+
+#[test]
+fn try_mont_mul_many_honors_verify_policy_and_quarantine() {
+    // The config-driven multiplication many-path runs on the same
+    // verified, quarantine-aware shard engines as the modexp paths: an
+    // injected flip is caught by the config's own ledger and corrected
+    // before release, on every backend.
+    let mut rng = StdRng::seed_from_u64(0x7A11);
+    let params = montgomery_systolic::core::modgen::random_safe_params(&mut rng, 80);
+    let operand =
+        |rng: &mut StdRng| montgomery_systolic::core::modgen::random_operand(rng, &params);
+    let xs: Vec<Ubig> = (0..100).map(|_| operand(&mut rng)).collect();
+    let ys: Vec<Ubig> = (0..100).map(|_| operand(&mut rng)).collect();
+    for kind in EngineKind::ALL {
+        let (config, faults, quarantine) = isolated_config(kind, VerifyPolicy::Full);
+        faults.inject_mont_mul_flip(2, 3, 1);
+        let got = try_mont_mul_many(&params, &xs, &ys, &config).unwrap();
+        assert_eq!(faults.mont_flips_fired(), 1, "{}", kind.name());
+        assert_eq!(quarantine.stats().corrected, 1, "{}", kind.name());
+        for (k, out) in got.iter().enumerate() {
+            assert_eq!(
+                *out,
+                mont_mul_alg2(&params, &xs[k], &ys[k]),
+                "{} lane {k}",
+                kind.name()
+            );
+        }
+    }
 }
 
 proptest! {
