@@ -199,14 +199,6 @@ impl BitSlicedBatch {
         slices_to_lanes_into(&self.t[1..=l + 1], xs.len(), out);
         Ok(cycles)
     }
-
-    /// [`Self::mont_mul_batch_into`] returning a freshly allocated
-    /// result vector alongside the cycle count.
-    pub fn mont_mul_batch_counted(&mut self, xs: &[Ubig], ys: &[Ubig]) -> (Vec<Ubig>, u64) {
-        let mut out = Vec::with_capacity(xs.len());
-        let cycles = self.mont_mul_batch_into(xs, ys, &mut out);
-        (out, cycles)
-    }
 }
 
 /// The full `3l + 3`-step wave-band simulation (see the module docs):
@@ -347,7 +339,9 @@ impl BatchMontMul for BitSlicedBatch {
     }
 
     fn mont_mul_batch(&mut self, xs: &[Ubig], ys: &[Ubig]) -> Vec<Ubig> {
-        self.mont_mul_batch_counted(xs, ys).0
+        let mut out = Vec::with_capacity(xs.len());
+        BitSlicedBatch::mont_mul_batch_into(self, xs, ys, &mut out);
+        out
     }
 
     fn mont_mul_batch_into(&mut self, xs: &[Ubig], ys: &[Ubig], out: &mut Vec<Ubig>) {
@@ -446,10 +440,8 @@ pub fn try_mont_mul_many(
             });
         }
     }
-    let width = config.shard_lanes().clamp(1, MAX_LANES);
-    let shards: Vec<(&[Ubig], &[Ubig])> = xs.chunks(width).zip(ys.chunks(width)).collect();
-    pool::run_sharded(params, config, shards, |mut engine, (sx, sy)| {
-        Ok(engine.mont_mul_batch(sx, sy))
+    pool::run_lanes(params, config, xs.len(), |mut engine, lanes| {
+        Ok(engine.mont_mul_batch(&xs[lanes.clone()], &ys[lanes]))
     })
 }
 
@@ -471,7 +463,8 @@ mod tests {
             let xs: Vec<Ubig> = (0..lanes).map(|_| random_operand(&mut rng, &p)).collect();
             let ys: Vec<Ubig> = (0..lanes).map(|_| random_operand(&mut rng, &p)).collect();
             let mut batch = BitSlicedBatch::new(p.clone());
-            let (got, cycles) = batch.mont_mul_batch_counted(&xs, &ys);
+            let mut got = Vec::new();
+            let cycles = batch.mont_mul_batch_into(&xs, &ys, &mut got);
             assert_eq!(cycles, (3 * l + 4) as u64);
             let mut solo = PackedMmmc::new(p.clone());
             for k in 0..lanes {

@@ -44,7 +44,6 @@
 //! warm engine from the per-key [`crate::pool`] — the many-client
 //! serving path used by `mmm-rsa`'s batched sign/verify/decrypt.
 
-use crate::batch::MAX_LANES;
 use crate::config::{EngineConfig, WindowPolicy};
 use crate::error::{validate_reduced, MmmError};
 use crate::montgomery::MontgomeryParams;
@@ -375,9 +374,8 @@ pub fn try_modexp_many(
         });
     }
     validate_reduced(params.n(), ms)?;
-    let width = config.shard_lanes().clamp(1, MAX_LANES);
-    let shards: Vec<(&[Ubig], &[Ubig])> = ms.chunks(width).zip(es.chunks(width)).collect();
-    pool::run_sharded(params, config, shards, |engine, (sm, se)| {
+    pool::run_lanes(params, config, ms.len(), |engine, lanes| {
+        let (sm, se) = (&ms[lanes.clone()], &es[lanes]);
         BatchModExp::new(engine).try_modexp(sm, ScalarSet::PerLane(se), config.window())
     })
 }
@@ -394,10 +392,8 @@ pub fn try_modexp_many_shared(
     config: &EngineConfig,
 ) -> Result<Vec<Ubig>, MmmError> {
     validate_reduced(params.n(), ms)?;
-    let width = config.shard_lanes().clamp(1, MAX_LANES);
-    let shards: Vec<&[Ubig]> = ms.chunks(width).collect();
-    pool::run_sharded(params, config, shards, |engine, sm| {
-        BatchModExp::new(engine).try_modexp(sm, ScalarSet::Shared(e), config.window())
+    pool::run_lanes(params, config, ms.len(), |engine, lanes| {
+        BatchModExp::new(engine).try_modexp(&ms[lanes], ScalarSet::Shared(e), config.window())
     })
 }
 

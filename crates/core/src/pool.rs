@@ -43,8 +43,10 @@
 //! workspace is a throughput simulator, not a hardened key store;
 //! nothing here is zeroized.
 //!
-//! The process-wide instance is [`global`]; `run_sharded` is the one
-//! sharding loop the config-driven `*_many` entry points fan out on.
+//! The process-wide instance is [`global`]. [`run_sharded`] is the one
+//! sharding loop every pooled run fans out on — the core `*_many`
+//! entry points, the RSA CRT halves and every ECC session call — and
+//! [`dispatch_kind`] the one backend choice they all make.
 
 use crate::config::EngineConfig;
 use crate::engine::{AnyBatchEngine, EngineKind};
@@ -55,6 +57,7 @@ use crate::verify::VerifiedEngine;
 use mmm_bigint::Ubig;
 use rayon::prelude::*;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -272,9 +275,8 @@ impl EnginePool {
     /// Fallible [`EnginePool::checkout_kind`]: rejects a bit-sliced
     /// checkout on hardware-unsafe parameters with
     /// [`MmmError::HardwareUnsafeWidth`] instead of panicking inside
-    /// the engine constructor — the serving-session path uses this so
-    /// a misconfigured backend surfaces as an error at session build,
-    /// not a crash at first request.
+    /// the engine constructor ([`run_sharded`] checks out through
+    /// this, so a bad backend is an error, never a crash).
     pub fn try_checkout_kind(
         &self,
         params: &MontgomeryParams,
@@ -455,34 +457,100 @@ pub fn global_stats() -> Result<PoolStats, MmmError> {
     try_global().map(EnginePool::stats)
 }
 
-/// The sharding core of every config-driven `*_many` entry point:
-/// runs `run` on each shard in parallel, each on a warm engine from the
-/// [`global`] pool, and concatenates the results in shard order. This
-/// is the one place that decides which engine a shard runs on:
-/// dispatch is quarantine-aware
-/// ([`crate::verify::Quarantine::effective_kind`]), the engine carries
-/// the configured hardening, and it runs behind the policy-gated
-/// [`VerifiedEngine`] self-check. Callers validate their own operand
-/// bound first, so errors name the index in the caller's slice.
-pub(crate) fn run_sharded<T: Send>(
-    params: &MontgomeryParams,
+/// The backend a pooled run over `moduli` dispatches to — the one
+/// backend decision every tenant shares. The configured backend must
+/// support every modulus ([`MmmError::HardwareUnsafeWidth`]
+/// otherwise); once the config's
+/// [`Quarantine`](crate::verify::Quarantine) benches it, dispatch
+/// walks down the [`EngineKind::weaker`] chain to the first healthy
+/// backend that supports **all** the moduli (so both RSA CRT halves
+/// land on one backend). If every candidate is benched, the
+/// configured backend runs anyway: degraded answers beat no answers,
+/// and verification stays on top of them.
+pub fn dispatch_kind(
     config: &EngineConfig,
-    shards: Vec<T>,
-    run: impl Fn(VerifiedEngine<PooledEngine>, T) -> Result<Vec<Ubig>, MmmError> + Sync,
-) -> Result<Vec<Ubig>, MmmError> {
-    config.backend().ensure_supports(params)?;
+    moduli: &[&MontgomeryParams],
+) -> Result<EngineKind, MmmError> {
+    let requested = config.backend();
+    for params in moduli {
+        requested.ensure_supports(params)?;
+    }
+    let healthy = |kind: &EngineKind| {
+        !config.quarantine().is_quarantined(*kind)
+            && moduli.iter().all(|p| kind.ensure_supports(p).is_ok())
+    };
+    Ok(std::iter::successors(Some(requested), |kind| kind.weaker())
+        .find(healthy)
+        .unwrap_or(requested))
+}
+
+/// `0..lanes` in [`EngineConfig::shard_lanes`]-wide ranges, in order:
+/// the shards every pooled run fans out over. A range's `start` is the
+/// global index of its first lane, so per-lane errors raised inside a
+/// shard can name the lane in the caller's slice.
+pub fn shard_ranges(config: &EngineConfig, lanes: usize) -> impl Iterator<Item = Range<usize>> {
+    let width = config.shard_lanes();
+    (0..lanes)
+        .step_by(width)
+        .map(move |start| start..lanes.min(start + width))
+}
+
+/// The sharding core of every pooled run in the workspace: runs `run`
+/// on each `(params, job)` pair in parallel, each on a warm `kind`
+/// engine for `params` from the [`global`] pool, and returns one
+/// result per job, in job order. This is the one place a shard's
+/// engine is made: it carries the configured hardening and runs
+/// behind the policy-gated [`VerifiedEngine`] self-check with the
+/// config's fault plan and quarantine. `kind` comes from
+/// [`dispatch_kind`], or is an explicit fallback on a verified retry;
+/// a `kind` that cannot run a job's parameters is
+/// [`MmmError::HardwareUnsafeWidth`], never a panic.
+pub fn run_sharded<J: Send, R: Send>(
+    kind: EngineKind,
+    config: &EngineConfig,
+    jobs: Vec<(&MontgomeryParams, J)>,
+    run: impl Fn(VerifiedEngine<PooledEngine>, J) -> Result<R, MmmError> + Sync,
+) -> Result<Vec<R>, MmmError> {
     let pool = try_global()?;
     let ctx = config.verify_context();
-    let kind = ctx.quarantine.effective_kind(config.backend(), params);
-    let outs = shards
-        .into_par_iter()
-        .map(|shard| {
-            let mut engine = pool.checkout_kind(params, kind);
+    jobs.into_par_iter()
+        .map(|(params, job)| {
+            let mut engine = pool.try_checkout_kind(params, kind)?;
             engine.set_hardening(config.hardening());
-            run(VerifiedEngine::new(engine, kind, ctx.clone()), shard)
+            run(VerifiedEngine::new(engine, kind, ctx.clone()), job)
         })
-        .collect::<Result<Vec<Vec<Ubig>>, MmmError>>()?;
-    Ok(outs.into_iter().flatten().collect())
+        .collect()
+}
+
+/// [`run_sharded`] over the lanes of one modulus: dispatches with
+/// [`dispatch_kind`], runs `run` once per [`shard_ranges`] range
+/// (global lane indices), and concatenates the per-lane results in
+/// order. Callers validate their own operands first, so errors name
+/// the index in the caller's slice.
+pub fn run_lanes<R: Send>(
+    params: &MontgomeryParams,
+    config: &EngineConfig,
+    lanes: usize,
+    run: impl Fn(VerifiedEngine<PooledEngine>, Range<usize>) -> Result<Vec<R>, MmmError> + Sync,
+) -> Result<Vec<R>, MmmError> {
+    let kind = dispatch_kind(config, &[params])?;
+    let jobs = shard_ranges(config, lanes).map(|r| (params, r)).collect();
+    let shards = run_sharded(kind, config, jobs, run)?;
+    Ok(shards.into_iter().flatten().collect())
+}
+
+/// Pre-warms one engine per modulus for a serving session: the
+/// backend [`dispatch_kind`] picks for the whole set, checked out of
+/// the [`global`] pool and parked again, so the first request pays no
+/// setup and a backend that cannot run the session's parameters fails
+/// the session build, not the first request.
+pub fn prewarm(config: &EngineConfig, moduli: &[&MontgomeryParams]) -> Result<(), MmmError> {
+    let kind = dispatch_kind(config, moduli)?;
+    let pool = try_global()?;
+    for params in moduli {
+        drop(pool.checkout_kind(params, kind));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -811,6 +879,72 @@ mod tests {
         // The word-level backend has no carry cell to overflow.
         let cios = pool.try_checkout_kind(&p, EngineKind::Cios).unwrap();
         assert_eq!(cios.kind(), EngineKind::Cios);
+    }
+
+    /// A config on `kind` whose private quarantine has benched `bench`.
+    fn benched(kind: EngineKind, bench: &[EngineKind]) -> EngineConfig {
+        let quarantine = Arc::new(crate::verify::Quarantine::new());
+        for &k in bench {
+            for _ in 0..crate::verify::QUARANTINE_THRESHOLD {
+                quarantine.record_violation(k);
+            }
+        }
+        EngineConfig::default()
+            .with_backend(kind)
+            .with_quarantine(quarantine)
+    }
+
+    /// Parameters the bit-sliced backend cannot run (3N − 1 > 2^{l+1}).
+    fn unsafe_params() -> MontgomeryParams {
+        let n = Ubig::pow2(64).checked_sub(&Ubig::one()).expect("2^64 > 1");
+        let params = MontgomeryParams::new(&n, 64);
+        assert!(!params.is_hardware_safe());
+        params
+    }
+
+    #[test]
+    fn dispatch_reroutes_a_benched_backend_to_the_next_healthy_one() {
+        let mut rng = StdRng::seed_from_u64(412);
+        let p = random_safe_params(&mut rng, 64);
+        let q = random_safe_params(&mut rng, 64);
+        let config = benched(EngineKind::Cios52, &[EngineKind::Cios52]);
+        assert_eq!(dispatch_kind(&config, &[&p, &q]), Ok(EngineKind::Cios));
+        let config = benched(EngineKind::Cios52, &[]);
+        assert_eq!(dispatch_kind(&config, &[&p, &q]), Ok(EngineKind::Cios52));
+    }
+
+    #[test]
+    fn dispatch_rejects_bitsliced_when_any_modulus_is_unsafe() {
+        let mut rng = StdRng::seed_from_u64(413);
+        let safe = random_safe_params(&mut rng, 64);
+        let config = benched(EngineKind::BitSliced, &[]);
+        assert_eq!(
+            dispatch_kind(&config, &[&safe, &unsafe_params()]),
+            Err(MmmError::HardwareUnsafeWidth { l: 64 })
+        );
+    }
+
+    #[test]
+    fn dispatch_skips_a_backend_that_supports_only_the_first_modulus() {
+        // With both CIOS backends benched, the walk reaches the
+        // bit-sliced array, which can run the first modulus but not the
+        // second — so the configured backend runs anyway.
+        let mut rng = StdRng::seed_from_u64(414);
+        let safe = random_safe_params(&mut rng, 64);
+        let config = benched(EngineKind::Cios52, &[EngineKind::Cios52, EngineKind::Cios]);
+        assert_eq!(dispatch_kind(&config, &[&safe]), Ok(EngineKind::BitSliced));
+        assert_eq!(
+            dispatch_kind(&config, &[&safe, &unsafe_params()]),
+            Ok(EngineKind::Cios52)
+        );
+    }
+
+    #[test]
+    fn shard_ranges_cover_every_lane_with_global_starts() {
+        let config = EngineConfig::default().with_shard_lanes(3).unwrap();
+        let ranges: Vec<_> = shard_ranges(&config, 7).collect();
+        assert_eq!(ranges, vec![0..3, 3..6, 6..7]);
+        assert_eq!(shard_ranges(&config, 0).count(), 0);
     }
 
     #[test]

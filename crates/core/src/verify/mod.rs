@@ -153,19 +153,6 @@ pub struct VerifyContext {
     pub quarantine: Arc<Quarantine>,
 }
 
-impl VerifyContext {
-    /// The do-nothing context: policy `Off`, the shared inert fault
-    /// plan, and the process-global quarantine. Used by the legacy
-    /// panicking entry points, which predate per-call configuration.
-    pub fn inert() -> Self {
-        VerifyContext {
-            policy: VerifyPolicy::Off,
-            faults: faults::inert_plan(),
-            quarantine: Quarantine::global(),
-        }
-    }
-}
-
 /// Fixed table of 32-bit primes the shadow modulus is drawn from. The
 /// pick is keyed on the modulus `N` (deterministic, so repeated runs
 /// are reproducible) but varies across keys, so a corruption pattern
@@ -405,29 +392,6 @@ impl Quarantine {
     /// should no longer be dispatched to.
     pub fn is_quarantined(&self, kind: EngineKind) -> bool {
         self.strikes(kind) >= QUARANTINE_THRESHOLD
-    }
-
-    /// The backend dispatch should actually use for `requested` at
-    /// `params`: `requested` itself while healthy, else the first
-    /// backend down the [`EngineKind::weaker`] chain that is neither
-    /// quarantined nor unsupported at these parameters. If every
-    /// candidate is benched (pathological — the process has no
-    /// trustworthy arithmetic left), falls back to `requested` if it
-    /// supports `params`, else to the portable CIOS backend: degraded
-    /// answers beat no answers, and verification stays on top of them.
-    pub fn effective_kind(&self, requested: EngineKind, params: &MontgomeryParams) -> EngineKind {
-        let mut candidate = Some(requested);
-        while let Some(kind) = candidate {
-            if !self.is_quarantined(kind) && kind.ensure_supports(params).is_ok() {
-                return kind;
-            }
-            candidate = kind.weaker();
-        }
-        if requested.ensure_supports(params).is_ok() {
-            requested
-        } else {
-            EngineKind::Cios
-        }
     }
 
     /// Snapshot of every counter.
@@ -701,9 +665,13 @@ mod tests {
     fn quarantine_benches_after_threshold_and_walks_weaker_chain() {
         let mut rng = StdRng::seed_from_u64(0xABCD);
         let params = random_safe_params(&mut rng, 64);
-        let q = Quarantine::new();
+        let q = Arc::new(Quarantine::new());
+        let config = crate::config::EngineConfig::default()
+            .with_backend(EngineKind::Cios52)
+            .with_quarantine(Arc::clone(&q));
+        let dispatch = || crate::pool::dispatch_kind(&config, &[&params]).unwrap();
         assert_eq!(
-            q.effective_kind(EngineKind::Cios52, &params),
+            dispatch(),
             EngineKind::Cios52,
             "healthy backend dispatches as requested"
         );
@@ -712,7 +680,7 @@ mod tests {
         }
         assert!(q.is_quarantined(EngineKind::Cios52));
         assert_eq!(
-            q.effective_kind(EngineKind::Cios52, &params),
+            dispatch(),
             EngineKind::Cios,
             "quarantined backend falls through to the next-weaker one"
         );
@@ -720,7 +688,7 @@ mod tests {
             q.record_violation(EngineKind::Cios);
         }
         assert_eq!(
-            q.effective_kind(EngineKind::Cios52, &params),
+            dispatch(),
             EngineKind::BitSliced,
             "double quarantine reaches the bit-sliced oracle"
         );
@@ -729,27 +697,6 @@ mod tests {
         assert_eq!(stats.quarantined_backends, 2);
         q.reset();
         assert_eq!(q.stats(), QuarantineStats::default());
-    }
-
-    #[test]
-    fn effective_kind_skips_unsupported_backends() {
-        // Hardware-unsafe params: BitSliced cannot serve them, so even
-        // with everything healthy the walk must not land there, and
-        // the everything-quarantined fallback must pick Cios.
-        let n = Ubig::pow2(64).checked_sub(&Ubig::one()).expect("2^64 > 1");
-        let params = MontgomeryParams::new(&n, 64);
-        assert!(!params.is_hardware_safe(), "3N − 1 > 2^{{l+1}} here");
-        let q = Quarantine::new();
-        for kind in [EngineKind::Cios52, EngineKind::Cios, EngineKind::BitSliced] {
-            for _ in 0..QUARANTINE_THRESHOLD {
-                q.record_violation(kind);
-            }
-        }
-        assert_eq!(
-            q.effective_kind(EngineKind::BitSliced, &params),
-            EngineKind::Cios,
-            "unsupported requested backend degrades to portable CIOS"
-        );
     }
 
     #[test]

@@ -5,11 +5,13 @@
 //! [`CurveSession`] mirrors `mmm_rsa::KeyedSession`: one handle owning
 //! the curve group, its pooled Montgomery parameters and the engine
 //! configuration, built once (validating the curve and pre-warming one
-//! engine) and reused for every request. Requests fan out across cores
-//! in `shard_lanes`-wide chunks, each shard checking a warm engine out
-//! of the process-wide pool; every method returns
-//! `Result<_, MmmError>` so one malformed request bounces that *call*
-//! with the offending lane named, never the process.
+//! engine) and reused for every request. Every call runs on the
+//! workspace's one sharding core ([`mmm_core::pool::run_lanes`]), so
+//! curve arithmetic gets the same backend dispatch, quarantine
+//! rerouting, hardening, verify policy and corruption hooks as the RSA
+//! paths; every method returns `Result<_, MmmError>` so one malformed
+//! request bounces that *call* with the offending lane named, never
+//! the process.
 //!
 //! `CurveSession` also implements the serving plane's
 //! [`Session`] trait ([`CurveOp`] selects ECDSA verify or ECDH), so a
@@ -27,16 +29,14 @@
 
 use crate::batch_curve::{BatchCurve, PointLanes};
 use crate::batch_field::BatchFieldCtx;
+use crate::curve::Point;
 use crate::curves::CurveSpec;
 use mmm_bigint::Ubig;
-use mmm_core::batch::MAX_LANES;
 use mmm_core::error::MmmError;
 use mmm_core::montgomery::MontgomeryParams;
-use mmm_core::pool;
+use mmm_core::pool::{self, PooledEngine};
 use mmm_core::serve::Session;
-use mmm_core::traits::BatchMontMul;
-use mmm_core::{EngineConfig, EngineKind};
-use rayon::prelude::*;
+use mmm_core::{EngineConfig, EngineKind, VerifiedEngine};
 
 /// One ECDSA verification request: message digest (already truncated
 /// to the order's bit length per FIPS 186-4 §6.4), signature pair and
@@ -70,8 +70,8 @@ pub struct EcdhRequest {
 /// A serving session bound to one curve group: owns the
 /// [`CurveSpec`], its pooled Montgomery parameters and the engine
 /// configuration. Construction validates the group (non-singular
-/// curve, base point on it, order > 1) and pre-warms one engine of
-/// the configured backend in the process-wide pool.
+/// curve, base point on it, order > 1) and pre-warms one engine in
+/// the process-wide pool ([`pool::prewarm`]).
 ///
 /// ```
 /// use mmm_bigint::Ubig;
@@ -124,10 +124,8 @@ impl CurveSession {
                 spec.name
             )));
         }
-        let pool = pool::try_global()?;
-        let params = pool.params_for(&spec.p);
-        config.backend().ensure_supports(&params)?;
-        drop(pool.try_checkout_kind(&params, config.backend())?);
+        let params = pool::try_global()?.params_for(&spec.p);
+        pool::prewarm(&config, &[&params])?;
         Ok(CurveSession {
             spec,
             config,
@@ -159,18 +157,11 @@ impl CurveSession {
             return Ok(Vec::new());
         }
         let reduced: Vec<Ubig> = ks.iter().map(|k| k.rem(&self.spec.order)).collect();
-        let shards: Vec<&[Ubig]> = reduced.chunks(self.shard_width()).collect();
-        type ShardAffine = Vec<Option<(Ubig, Ubig)>>;
-        let results: Result<Vec<ShardAffine>, MmmError> = shards
-            .into_par_iter()
-            .map(|ks| {
-                let (mut f, curve, g) = self.checkout()?;
-                let base = PointLanes::splat(&g, ks.len());
-                let acc = curve.scalar_mul(&mut f, ks, &base, None);
-                Ok(curve.to_affine(&mut f, &acc))
-            })
-            .collect();
-        Ok(results?.into_iter().flatten().collect())
+        self.run_lanes(ks.len(), |f, curve, g, lanes| {
+            let base = PointLanes::splat(g, lanes.len());
+            let acc = curve.scalar_mul(f, &reduced[lanes], &base, None);
+            Ok(curve.to_affine(f, &acc))
+        })
     }
 
     /// Batched ECDSA verification (FIPS 186-4 §6.4): one verdict per
@@ -214,36 +205,29 @@ impl CurveSession {
                 }
             })
             .collect();
-        let width = self.shard_width();
-        let shards: Vec<(&[EcdsaRequest], &[Prepared])> =
-            reqs.chunks(width).zip(prepared.chunks(width)).collect();
-        let results: Result<Vec<Vec<bool>>, MmmError> = shards
-            .into_par_iter()
-            .map(|(sreqs, sprep)| {
-                let (mut f, curve, g) = self.checkout()?;
-                let xy: Vec<(Ubig, Ubig)> =
-                    sreqs.iter().map(|r| (r.qx.clone(), r.qy.clone())).collect();
-                // Pre-validated above; an error here would be an
-                // engine-level fault and is surfaced as-is.
-                let q = curve.try_points(&mut f, &xy)?;
-                let u1: Vec<Ubig> = sprep.iter().map(|p| p.u1.clone()).collect();
-                let u2: Vec<Ubig> = sprep.iter().map(|p| p.u2.clone()).collect();
-                let gbase = PointLanes::splat(&g, sreqs.len());
-                let r1 = curve.scalar_mul(&mut f, &u1, &gbase, None);
-                let r2 = curve.scalar_mul(&mut f, &u2, &q, None);
-                let sum = curve.add(&mut f, &r1, &r2);
-                let affine = curve.to_affine(&mut f, &sum);
-                Ok(sreqs
-                    .iter()
-                    .zip(sprep)
-                    .zip(affine)
-                    .map(|((req, prep), aff)| {
-                        prep.live && aff.map(|(x, _)| x.rem(n) == req.r).unwrap_or(false)
-                    })
-                    .collect())
-            })
-            .collect();
-        Ok(results?.into_iter().flatten().collect())
+        self.run_lanes(reqs.len(), |f, curve, g, lanes| {
+            let (sreqs, sprep) = (&reqs[lanes.clone()], &prepared[lanes]);
+            let xy: Vec<(Ubig, Ubig)> =
+                sreqs.iter().map(|r| (r.qx.clone(), r.qy.clone())).collect();
+            // Pre-validated above; an error here would be an
+            // engine-level fault and is surfaced as-is.
+            let q = curve.try_points(f, &xy)?;
+            let u1: Vec<Ubig> = sprep.iter().map(|p| p.u1.clone()).collect();
+            let u2: Vec<Ubig> = sprep.iter().map(|p| p.u2.clone()).collect();
+            let gbase = PointLanes::splat(g, sreqs.len());
+            let r1 = curve.scalar_mul(f, &u1, &gbase, None);
+            let r2 = curve.scalar_mul(f, &u2, &q, None);
+            let sum = curve.add(f, &r1, &r2);
+            let affine = curve.to_affine(f, &sum);
+            Ok(sreqs
+                .iter()
+                .zip(sprep)
+                .zip(affine)
+                .map(|((req, prep), aff)| {
+                    prep.live && aff.map(|(x, _)| x.rem(n) == req.r).unwrap_or(false)
+                })
+                .collect())
+        })
     }
 
     /// Batched ECDH (SP 800-56A style): the shared secret is the
@@ -265,33 +249,24 @@ impl CurveSession {
         for (lane, req) in reqs.iter().enumerate() {
             self.check_ecdh(req, lane)?;
         }
-        let width = self.shard_width();
-        let shards: Vec<(usize, &[EcdhRequest])> = reqs
-            .chunks(width)
-            .enumerate()
-            .map(|(i, c)| (i * width, c))
-            .collect();
-        let results: Result<Vec<Vec<Ubig>>, MmmError> = shards
-            .into_par_iter()
-            .map(|(start, sreqs)| {
-                let (mut f, curve, _) = self.checkout()?;
-                let xy: Vec<(Ubig, Ubig)> =
-                    sreqs.iter().map(|r| (r.qx.clone(), r.qy.clone())).collect();
-                let q = curve.try_points(&mut f, &xy)?;
-                let ks: Vec<Ubig> = sreqs.iter().map(|r| r.scalar.clone()).collect();
-                let acc = curve.scalar_mul(&mut f, &ks, &q, None);
-                let affine = curve.to_affine(&mut f, &acc);
-                affine
-                    .into_iter()
-                    .enumerate()
-                    .map(|(k, aff)| {
-                        aff.map(|(x, _)| x)
-                            .ok_or(MmmError::ScalarOutOfRange { lane: start + k })
-                    })
-                    .collect()
-            })
-            .collect();
-        Ok(results?.into_iter().flatten().collect())
+        self.run_lanes(reqs.len(), |f, curve, _, lanes| {
+            let start = lanes.start;
+            let sreqs = &reqs[lanes];
+            let xy: Vec<(Ubig, Ubig)> =
+                sreqs.iter().map(|r| (r.qx.clone(), r.qy.clone())).collect();
+            let q = curve.try_points(f, &xy)?;
+            let ks: Vec<Ubig> = sreqs.iter().map(|r| r.scalar.clone()).collect();
+            let acc = curve.scalar_mul(f, &ks, &q, None);
+            let affine = curve.to_affine(f, &acc);
+            affine
+                .into_iter()
+                .enumerate()
+                .map(|(k, aff)| {
+                    aff.map(|(x, _)| x)
+                        .ok_or(MmmError::ScalarOutOfRange { lane: start + k })
+                })
+                .collect()
+        })
     }
 
     /// A public key off the curve is [`MmmError::PointNotOnCurve`]
@@ -314,36 +289,29 @@ impl CurveSession {
         self.check_key(&req.qx, &req.qy, lane)
     }
 
-    fn shard_width(&self) -> usize {
-        self.config.shard_lanes().clamp(1, MAX_LANES)
-    }
-
-    /// One warm engine out of the pool, wrapped as a field context,
-    /// with the session's curve and Montgomery-domain base point.
-    fn checkout(
+    /// Runs `run` per shard of `lanes` requests on the workspace's one
+    /// sharding core ([`pool::run_lanes`]: dispatch, quarantine,
+    /// hardening, verify policy, fault plan), handing it a field
+    /// context on the shard's verified engine, the curve, the
+    /// Montgomery-domain base point and the shard's global lane range.
+    fn run_lanes<R: Send>(
         &self,
-    ) -> Result<
-        (
-            BatchFieldCtx<pool::PooledEngine>,
-            BatchCurve,
-            crate::curve::Point,
-        ),
-        MmmError,
-    > {
-        let pool = pool::try_global()?;
-        let mut engine = pool.try_checkout_kind(&self.params, self.config.backend())?;
-        engine.set_hardening(self.config.hardening());
-        let mut f = BatchFieldCtx::new(engine);
-        let curve = BatchCurve::try_new(&mut f, &self.spec.a, &self.spec.b)?;
-        let g = {
-            let m = f.to_mont(&[self.spec.gx.clone(), self.spec.gy.clone(), Ubig::one()]);
-            crate::curve::Point {
-                x: m[0].clone(),
-                y: m[1].clone(),
-                z: m[2].clone(),
-            }
-        };
-        Ok((f, curve, g))
+        lanes: usize,
+        run: impl Fn(
+                &mut BatchFieldCtx<VerifiedEngine<PooledEngine>>,
+                &BatchCurve,
+                &Point,
+                std::ops::Range<usize>,
+            ) -> Result<Vec<R>, MmmError>
+            + Sync,
+    ) -> Result<Vec<R>, MmmError> {
+        pool::run_lanes(&self.params, &self.config, lanes, |engine, lanes| {
+            let mut f = BatchFieldCtx::new(engine);
+            let curve = BatchCurve::try_new(&mut f, &self.spec.a, &self.spec.b)?;
+            let g = f.to_mont(&[self.spec.gx.clone(), self.spec.gy.clone(), Ubig::one()]);
+            let [x, y, z]: [Ubig; 3] = g.try_into().expect("three coordinates in, three out");
+            run(&mut f, &curve, &Point { x, y, z }, lanes)
+        })
     }
 }
 

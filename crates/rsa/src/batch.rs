@@ -17,17 +17,13 @@
 
 use crate::keys::RsaKeyPair;
 use mmm_bigint::Ubig;
-use mmm_core::batch::MAX_LANES;
 use mmm_core::error::OperandBound;
 use mmm_core::expo_batch::try_modexp_many_shared;
 use mmm_core::montgomery::MontgomeryParams;
 use mmm_core::pool;
 use mmm_core::verify::faults::inert_plan;
-use mmm_core::{
-    BatchModExp, BatchMontMul, EngineConfig, EngineKind, MmmError, ScalarSet, VerifiedEngine,
-    VerifyContext, VerifyPolicy,
-};
-use rayon::prelude::*;
+use mmm_core::{BatchModExp, EngineConfig, EngineKind, MmmError, ScalarSet, VerifyPolicy};
+use std::borrow::Cow;
 
 /// Everything one CRT batch run needs, bundled so the compute and
 /// verify helpers share a single signature.
@@ -36,7 +32,6 @@ struct CrtPlan<'a> {
     pparams: &'a MontgomeryParams,
     qparams: &'a MontgomeryParams,
     config: &'a EngineConfig,
-    pool: &'a pool::EnginePool,
 }
 
 /// The CRT decryption core behind
@@ -54,10 +49,8 @@ struct CrtPlan<'a> {
 /// surfaces as [`MmmError::IntegrityViolation`] naming the lane —
 /// never as a key-leaking faulty plaintext.
 ///
-/// Dispatch is quarantine-aware: a backend benched by earlier
-/// violations is replaced by
-/// [`Quarantine::effective_kind`](mmm_core::verify::Quarantine::effective_kind)
-/// before the run starts.
+/// Dispatch is quarantine-aware: both halves run on the backend
+/// [`pool::dispatch_kind`] picks for the pair `{p, q}`.
 pub(crate) fn decrypt_crt_core(
     key: &RsaKeyPair,
     pparams: &MontgomeryParams,
@@ -73,101 +66,76 @@ pub(crate) fn decrypt_crt_core(
             });
         }
     }
-    let kind = config.backend();
-    kind.ensure_supports(pparams)?;
-    kind.ensure_supports(qparams)?;
-    let pool = pool::try_global()?;
+    let run_kind = pool::dispatch_kind(config, &[pparams, qparams])?;
     let plan = CrtPlan {
         key,
         pparams,
         qparams,
         config,
-        pool,
     };
-    let ctx = config.verify_context();
-    let run_kind = ctx.quarantine.effective_kind(kind, pparams);
-    let run_kind = if run_kind.ensure_supports(qparams).is_ok() {
-        run_kind
-    } else {
-        kind
-    };
-    let mut ms = crt_halves(&plan, cs, run_kind, &ctx)?;
-    if ctx.policy == VerifyPolicy::Off {
+    let mut ms = crt_halves(&plan, cs, run_kind)?;
+    if config.verify() == VerifyPolicy::Off {
         return Ok(ms);
     }
     let bad = crt_bad_lanes(&plan, cs, &ms, run_kind)?;
     if bad.is_empty() {
         return Ok(ms);
     }
+    let quarantine = config.quarantine();
     for _ in &bad {
-        ctx.quarantine.record_violation(run_kind);
+        quarantine.record_violation(run_kind);
     }
     // One verified retry of just the bad lanes on the next-weaker
     // backend (falling back to the portable CIOS scan when the chain
     // runs out or the weaker backend cannot serve these parameters).
-    let fallback = run_kind.weaker().unwrap_or(EngineKind::Cios);
-    let fallback =
-        if fallback.ensure_supports(pparams).is_ok() && fallback.ensure_supports(qparams).is_ok() {
-            fallback
-        } else {
-            EngineKind::Cios
-        };
-    ctx.quarantine.record_fallback_retry();
+    let fallback = run_kind
+        .weaker()
+        .filter(|k| k.ensure_supports(pparams).is_ok() && k.ensure_supports(qparams).is_ok())
+        .unwrap_or(EngineKind::Cios);
+    quarantine.record_fallback_retry();
     let bad_cs: Vec<Ubig> = bad.iter().map(|&k| cs[k].clone()).collect();
-    let retried = crt_halves(&plan, &bad_cs, fallback, &ctx)?;
+    let retried = crt_halves(&plan, &bad_cs, fallback)?;
     let still_bad = crt_bad_lanes(&plan, &bad_cs, &retried, fallback)?;
     if let Some(&j) = still_bad.first() {
         return Err(MmmError::IntegrityViolation { lane: bad[j] });
     }
     for (&k, fixed) in bad.iter().zip(retried) {
         ms[k] = fixed;
-        ctx.quarantine.record_correction();
+        quarantine.record_correction();
     }
     Ok(ms)
 }
 
 /// Computes the CRT plaintexts on `kind` engines: per shard, two
 /// half-width shared-exponent batch scans (mod `p` and mod `q`) and a
-/// per-lane Garner recombination. The engine layer runs behind
-/// [`VerifiedEngine`] (policy-gated residue self-checks), and the
+/// per-lane Garner recombination. The engines come from
+/// [`pool::run_sharded`] (verified, hardened per the config), and the
 /// corruption-injection hooks for the pooled-param and CRT-half fault
 /// models are applied here — inert outside tests.
-fn crt_halves(
-    plan: &CrtPlan<'_>,
-    cs: &[Ubig],
-    kind: EngineKind,
-    ctx: &VerifyContext,
-) -> Result<Vec<Ubig>, MmmError> {
+fn crt_halves(plan: &CrtPlan<'_>, cs: &[Ubig], kind: EngineKind) -> Result<Vec<Ubig>, MmmError> {
     // Fan out over (shard × prime half): the mod-p and mod-q runs of
     // a shard are independent, so they parallelize too — a queue of
     // ≤ 64 ciphertexts still fills two cores instead of one.
-    let width = plan.config.shard_lanes().clamp(1, MAX_LANES);
-    let shards: Vec<&[Ubig]> = cs.chunks(width).collect();
-    let half_runs: Vec<(&[Ubig], &MontgomeryParams, &Ubig)> = shards
-        .iter()
-        .flat_map(|&shard| {
+    let jobs = pool::shard_ranges(plan.config, cs.len())
+        .flat_map(|lanes| {
             [
-                (shard, plan.pparams, &plan.key.dp),
-                (shard, plan.qparams, &plan.key.dq),
+                (plan.pparams, (lanes.clone(), &plan.key.dp)),
+                (plan.qparams, (lanes, &plan.key.dq)),
             ]
         })
         .collect();
-    let halves: Vec<Vec<Ubig>> = half_runs
-        .into_par_iter()
-        .map(|(shard, params, d)| {
-            let mut residues: Vec<Ubig> = shard.iter().map(|c| c.rem(params.n())).collect();
-            ctx.faults.corrupt_param_residue(&mut residues, params.n());
-            let mut engine = plan.pool.checkout_kind(params, kind);
-            // Under MMM_HARDENED the half-width scans run the
-            // constant-time schedule (full-table sweeps, no skips,
-            // canonicalizing engines) — see DESIGN.md §12.
-            engine.set_hardening(plan.config.hardening());
-            let mut me = BatchModExp::new(VerifiedEngine::new(engine, kind, ctx.clone()));
-            let mut half = me.try_modexp(&residues, ScalarSet::Shared(d), plan.config.window())?;
-            ctx.faults.corrupt_crt_half(&mut half, params.n());
-            Ok(half)
-        })
-        .collect::<Result<_, MmmError>>()?;
+    let faults = plan.config.faults();
+    let halves = pool::run_sharded(kind, plan.config, jobs, |engine, (lanes, d)| {
+        let mut me = BatchModExp::new(engine);
+        let mut residues: Vec<Ubig> = cs[lanes].iter().map(|c| c.rem(me.params().n())).collect();
+        faults.corrupt_param_residue(&mut residues, me.params().n());
+        // Under MMM_HARDENED the half-width scans run the
+        // constant-time schedule (full-table sweeps, no skips,
+        // canonicalizing engines) — see DESIGN.md §12.
+        let mut half = me.try_modexp(&residues, ScalarSet::Shared(d), plan.config.window())?;
+        faults.corrupt_crt_half(&mut half, me.params().n());
+        Ok(half)
+    })?;
     Ok(halves
         .chunks(2)
         .flat_map(|pair| {
@@ -191,7 +159,7 @@ fn crt_bad_lanes(
     ms: &[Ubig],
     kind: EngineKind,
 ) -> Result<Vec<usize>, MmmError> {
-    let nparams = plan.pool.params_for(&plan.key.n);
+    let nparams = pool::try_global()?.params_for(&plan.key.n);
     let vconfig = plan
         .config
         .clone()
@@ -201,25 +169,16 @@ fn crt_bad_lanes(
     // A corrupted lane can in principle exceed N; substitute zero so
     // the probe vector stays a valid input (such lanes are flagged
     // unconditionally below, whatever the probe returns).
-    let probe: Vec<Ubig>;
-    let inputs: &[Ubig] = if ms.iter().any(|m| m >= &plan.key.n) {
-        probe = ms
-            .iter()
-            .map(|m| {
-                if m < &plan.key.n {
-                    m.clone()
-                } else {
-                    Ubig::zero()
-                }
-            })
-            .collect();
-        &probe
+    let n = &plan.key.n;
+    let inputs: Cow<[Ubig]> = if ms.iter().all(|m| m < n) {
+        Cow::Borrowed(ms)
     } else {
-        ms
+        let zeroed = |m: &Ubig| if m < n { m.clone() } else { Ubig::zero() };
+        Cow::Owned(ms.iter().map(zeroed).collect())
     };
-    let reenc = try_modexp_many_shared(&nparams, inputs, &plan.key.e, &vconfig)?;
+    let reenc = try_modexp_many_shared(&nparams, &inputs, &plan.key.e, &vconfig)?;
     Ok((0..ms.len())
-        .filter(|&k| ms[k] >= plan.key.n || reenc[k] != cs[k])
+        .filter(|&k| ms[k] >= *n || reenc[k] != cs[k])
         .collect())
 }
 

@@ -127,7 +127,7 @@ impl KeyedSession {
     /// Builds a session for `key` under `config`: resolves the pooled
     /// parameters for `N`, `p` and `q` (the wide constant divisions
     /// run at most once per key process-wide) and pre-warms one
-    /// engine of the configured backend per modulus.
+    /// engine per modulus ([`pool::prewarm`]).
     ///
     /// Fails with [`MmmError::Config`] if the process-wide pool
     /// cannot initialize (a broken `MMM_*` environment), or with
@@ -143,9 +143,7 @@ impl KeyedSession {
         let params = pool.params_for(&key.n);
         let pparams = pool.params_for(&key.p);
         let qparams = pool.params_for(&key.q);
-        for ps in [&params, &pparams, &qparams] {
-            drop(pool.try_checkout_kind(ps, config.backend())?);
-        }
+        pool::prewarm(&config, &[&params, &pparams, &qparams])?;
         let blinding = config
             .hardening()
             .is_hardened()

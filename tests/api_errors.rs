@@ -12,6 +12,8 @@ use montgomery_systolic::core::expo_batch::{try_modexp_many, try_modexp_many_sha
 use montgomery_systolic::core::modgen::{random_operand, random_safe_params};
 use montgomery_systolic::core::montgomery::{mont_mul_alg2, MontgomeryParams};
 use montgomery_systolic::core::{pool, BatchMontMul, EngineKind, ScalarSet};
+use montgomery_systolic::ecc::curves::CurveSpec;
+use montgomery_systolic::ecc::serve::{CurveSession, EcdhRequest};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -81,6 +83,35 @@ fn oversized_lane_index_survives_sharding() {
             lane: 5,
             bound: OperandBound::N
         }
+    );
+    // An error raised inside a shard (not by up-front validation) must
+    // be global too: on y² = x³ + 2x + 3 over GF(97), (30, 0) has order
+    // 2, so lane 5's ECDH derivation [2]·(30, 0) lands on the identity.
+    let tiny = CurveSpec {
+        name: "tiny97",
+        p: Ubig::from(97u64),
+        a: Ubig::from(2u64),
+        b: Ubig::from(3u64),
+        gx: Ubig::from(3u64),
+        gy: Ubig::from(6u64),
+        order: Ubig::from(5u64),
+    };
+    let session = CurveSession::new(tiny, config).unwrap();
+    let mut reqs: Vec<EcdhRequest> = (0..7)
+        .map(|k| EcdhRequest {
+            scalar: Ubig::from(1 + k as u64 % 4),
+            qx: Ubig::from(3u64),
+            qy: Ubig::from(6u64),
+        })
+        .collect();
+    reqs[5] = EcdhRequest {
+        scalar: Ubig::from(2u64),
+        qx: Ubig::from(30u64),
+        qy: Ubig::zero(),
+    };
+    assert_eq!(
+        session.ecdh(&reqs).unwrap_err(),
+        MmmError::ScalarOutOfRange { lane: 5 }
     );
 }
 

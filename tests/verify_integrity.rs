@@ -10,13 +10,18 @@
 //! impossible, because a faulty CRT half is exactly the Bellcore
 //! fault-attack lever that factors `N`.
 
+mod common;
+
+use common::OpCase;
 use montgomery_systolic::core::batch::try_mont_mul_many;
 use montgomery_systolic::core::montgomery::mont_mul_alg2;
+use montgomery_systolic::core::serve::Session;
 use montgomery_systolic::core::verify::faults::CorruptionPlan;
 use montgomery_systolic::core::verify::{
     Quarantine, VerifiedEngine, VerifyContext, VerifyPolicy, QUARANTINE_THRESHOLD,
 };
 use montgomery_systolic::core::{BatchMontMul, EngineConfig, EngineKind, MmmError};
+use montgomery_systolic::ecc::serve::CurveSession;
 use montgomery_systolic::rsa::{KeyedSession, RsaKeyPair};
 use montgomery_systolic::Ubig;
 use proptest::prelude::*;
@@ -209,6 +214,34 @@ fn try_mont_mul_many_honors_verify_policy_and_quarantine() {
             );
         }
     }
+}
+
+#[test]
+fn ecc_sessions_honor_verify_policy_and_fault_plan() {
+    // ECDSA verify and ECDH run on the same verified, quarantine-aware
+    // shard engines as the RSA paths: one injected flip is caught by
+    // the config's own ledger and corrected before release, on every
+    // backend.
+    fn check(case: &impl OpCase<S = CurveSession>) {
+        let (reqs, want): (Vec<_>, Vec<_>) = case.traffic(0, 0xECC, 6).into_iter().unzip();
+        for kind in EngineKind::ALL {
+            let (config, faults, quarantine) = isolated_config(kind, VerifyPolicy::Full);
+            let (server, id) = case.server(config);
+            let session = server.session(id).unwrap();
+            let clean = session.run_batch(case.op(), reqs.clone()).unwrap();
+            assert_eq!(clean, want, "{} {}", case.name(), kind.name());
+            faults.inject_mont_mul_flip(1, 3, 1);
+            let got = session.run_batch(case.op(), reqs.clone()).unwrap();
+            assert_eq!(got, clean, "{} {}", case.name(), kind.name());
+            assert_eq!(faults.mont_flips_fired(), 1, "{}", kind.name());
+            let stats = quarantine.stats();
+            assert!(stats.violations >= 1, "{}", kind.name());
+            assert!(stats.corrected >= 1, "{}", kind.name());
+            server.shutdown();
+        }
+    }
+    check(&common::EcdhCase::new());
+    check(&common::EcdsaCase::new());
 }
 
 proptest! {
