@@ -7,9 +7,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mmm_bigint::Ubig;
-use mmm_core::batch::{BitSlicedBatch, MAX_LANES};
-use mmm_core::cios::CiosBatch;
-use mmm_core::cios52::{Cios52Batch, Cios52Kernel};
+use mmm_core::batch::MAX_LANES;
+use mmm_core::cios52::Cios52Kernel;
+use mmm_core::engine::{AnyBatchEngine, EngineKind};
 use mmm_core::modgen::{random_operand, random_safe_params};
 use mmm_core::traits::BatchMontMul;
 use rand::rngs::StdRng;
@@ -33,8 +33,8 @@ fn bench_backend(c: &mut Criterion) {
             .collect();
         group.throughput(Throughput::Elements(MAX_LANES as u64));
 
-        let mut bits = BitSlicedBatch::new(params.clone());
-        let mut cios = CiosBatch::new(params.clone());
+        let mut bits = EngineKind::BitSliced.build(params.clone());
+        let mut cios = EngineKind::Cios.build(params.clone());
         assert_eq!(
             bits.mont_mul_batch(&xs, &ys),
             cios.mont_mul_batch(&xs, &ys),
@@ -48,7 +48,7 @@ fn bench_backend(c: &mut Criterion) {
             b.iter(|| black_box(cios.mont_mul_batch(black_box(&xs), black_box(&ys))))
         });
         for &kernel in Cios52Kernel::available() {
-            let mut c52 = Cios52Batch::with_kernel(params.clone(), kernel);
+            let mut c52 = AnyBatchEngine::with_cios52_kernel(params.clone(), kernel);
             assert_eq!(
                 bits.mont_mul_batch(&xs, &ys),
                 c52.mont_mul_batch(&xs, &ys),

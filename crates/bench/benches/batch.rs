@@ -6,7 +6,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mmm_bigint::Ubig;
-use mmm_core::batch::{BitSlicedBatch, MAX_LANES};
+use mmm_core::batch::MAX_LANES;
+use mmm_core::engine::EngineKind;
 use mmm_core::modgen::{random_operand, random_safe_params};
 use mmm_core::traits::{BatchMontMul, MontMul};
 use mmm_core::wave_packed::PackedMmmc;
@@ -40,7 +41,7 @@ fn bench_throughput(c: &mut Criterion) {
             })
         });
 
-        let mut batch = BitSlicedBatch::new(params.clone());
+        let mut batch = EngineKind::BitSliced.build(params.clone());
         group.bench_with_input(BenchmarkId::new("bit_sliced_batch_64", l), &l, |b, _| {
             b.iter(|| black_box(batch.mont_mul_batch(black_box(&xs), black_box(&ys))))
         });

@@ -6,9 +6,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mmm_bigint::Ubig;
-use mmm_core::batch::{BitSlicedBatch, MAX_LANES};
+use mmm_core::batch::MAX_LANES;
 use mmm_core::modgen::random_safe_params;
-use mmm_core::{BatchModExp, ScalarSet, WindowPolicy};
+use mmm_core::{BatchModExp, EngineKind, ScalarSet, WindowPolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -32,7 +32,7 @@ fn bench_window_sweep(c: &mut Criterion) {
     group.throughput(Throughput::Elements(MAX_LANES as u64));
 
     for w in [1usize, 2, 4, 5, 6] {
-        let mut windowed = BatchModExp::new(BitSlicedBatch::new(params.clone()));
+        let mut windowed = BatchModExp::new(EngineKind::BitSliced.build(params.clone()));
         group.bench_with_input(BenchmarkId::new("fixed_window", w), &w, |b, &w| {
             b.iter(|| {
                 black_box(windowed.try_modexp(

@@ -6,10 +6,10 @@
 //!
 //! * 64 sequential multiplications on the packed wave model
 //!   (`PackedMmmc`, the fastest solo bit-serial engine),
-//! * one 64-lane bit-sliced batch (`BitSlicedBatch`),
-//! * one 64-lane radix-2⁶⁴ CIOS batch (`CiosBatch`, the scalar-word
-//!   production backend), and
-//! * one 64-lane radix-2⁵² carry-save batch (`Cios52Batch`) on the
+//! * one 64-lane bit-sliced batch (`EngineKind::BitSliced`),
+//! * one 64-lane radix-2⁶⁴ CIOS batch (`EngineKind::Cios`, the
+//!   scalar-word production backend), and
+//! * one 64-lane radix-2⁵² carry-save batch (`EngineKind::Cios52`) on the
 //!   strongest kernel this host supports (portable / avx2 / ifma —
 //!   the detected set and the active choice are printed as a
 //!   `features:` line and recorded in the JSON, so results always say
@@ -24,10 +24,10 @@
 
 use mmm_bench::hosttime::time_ns_per_call;
 use mmm_bigint::Ubig;
-use mmm_core::batch::{BitSlicedBatch, MAX_LANES};
-use mmm_core::cios::CiosBatch;
-use mmm_core::cios52::{Cios52Batch, Cios52Kernel};
+use mmm_core::batch::MAX_LANES;
+use mmm_core::cios52::Cios52Kernel;
 use mmm_core::config::HardeningMode;
+use mmm_core::engine::{AnyBatchEngine, EngineKind};
 use mmm_core::modgen::{random_operand, random_safe_params};
 use mmm_core::traits::{BatchMontMul, MontMul};
 use mmm_core::wave_packed::PackedMmmc;
@@ -102,9 +102,9 @@ fn main() {
             .collect();
 
         let mut packed = PackedMmmc::new(params.clone());
-        let mut batch = BitSlicedBatch::new(params.clone());
-        let mut cios = CiosBatch::new(params.clone());
-        let mut cios52 = Cios52Batch::new(params.clone());
+        let mut batch = EngineKind::BitSliced.build(params.clone());
+        let mut cios = EngineKind::Cios.build(params.clone());
+        let mut cios52 = EngineKind::Cios52.build(params.clone());
 
         // Correctness gate: all engines (and, for the radix-2⁵² scan,
         // *every* available kernel, not just the one about to be
@@ -113,7 +113,7 @@ fn main() {
             let want = batch.mont_mul_batch(&xs, &ys);
             assert_eq!(cios.mont_mul_batch(&xs, &ys), want, "cios oracle l={l}");
             for &kernel in Cios52Kernel::available() {
-                let mut e = Cios52Batch::with_kernel(params.clone(), kernel);
+                let mut e = AnyBatchEngine::with_cios52_kernel(params.clone(), kernel);
                 assert_eq!(
                     e.mont_mul_batch(&xs, &ys),
                     want,

@@ -40,11 +40,11 @@
 
 use mmm_bench::hosttime::time_ns_per_call;
 use mmm_bigint::Ubig;
-use mmm_core::batch::{BitSlicedBatch, MAX_LANES};
+use mmm_core::batch::MAX_LANES;
 use mmm_core::cios52::Cios52Kernel;
 use mmm_core::montgomery::MontgomeryParams;
 use mmm_core::scan::best_fixed_window;
-use mmm_core::{BatchModExp, EngineConfig, EngineKind, ScalarSet, WindowPolicy};
+use mmm_core::{AnyBatchEngine, BatchModExp, EngineConfig, EngineKind, ScalarSet, WindowPolicy};
 use mmm_rsa::{KeyedSession, RsaKeyPair};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -63,7 +63,7 @@ struct Row {
 /// The full-width scan at `window` (1 = multiply-always) with per-lane
 /// exponents.
 fn scan(
-    me: &mut BatchModExp<BitSlicedBatch>,
+    me: &mut BatchModExp<AnyBatchEngine>,
     ms: &[Ubig],
     es: &[Ubig],
     window: usize,
@@ -128,9 +128,9 @@ fn main() {
         // catches engine-selection regressions, not just the default
         // engine's arithmetic.
         {
-            let mut always = BatchModExp::new(BitSlicedBatch::new(params.clone()));
+            let mut always = BatchModExp::new(EngineKind::BitSliced.build(params.clone()));
             assert_eq!(scan(&mut always, &cs, &ds, 1), ms, "multiply-always oracle");
-            let mut windowed = BatchModExp::new(BitSlicedBatch::new(params.clone()));
+            let mut windowed = BatchModExp::new(EngineKind::BitSliced.build(params.clone()));
             assert_eq!(scan(&mut windowed, &cs, &ds, window), ms, "windowed oracle");
             assert_eq!(
                 crt.decrypt_crt(&cs).unwrap(),
@@ -159,12 +159,12 @@ fn main() {
             }
         }
 
-        let mut engine_always = BatchModExp::new(BitSlicedBatch::new(params.clone()));
+        let mut engine_always = BatchModExp::new(EngineKind::BitSliced.build(params.clone()));
         let full_always_ns = time_ns_per_call(budget_ms, || {
             black_box(scan(&mut engine_always, black_box(&cs), black_box(&ds), 1));
         }) / MAX_LANES as f64;
 
-        let mut engine_window = BatchModExp::new(BitSlicedBatch::new(params.clone()));
+        let mut engine_window = BatchModExp::new(EngineKind::BitSliced.build(params.clone()));
         let full_window_ns = time_ns_per_call(budget_ms, || {
             black_box(scan(
                 &mut engine_window,
@@ -187,8 +187,8 @@ fn main() {
             })
             .collect();
         {
-            let mut always = BatchModExp::new(BitSlicedBatch::new(params.clone()));
-            let mut windowed = BatchModExp::new(BitSlicedBatch::new(params.clone()));
+            let mut always = BatchModExp::new(EngineKind::BitSliced.build(params.clone()));
+            let mut windowed = BatchModExp::new(EngineKind::BitSliced.build(params.clone()));
             let a = scan(&mut always, &ms, &es, 1);
             assert_eq!(
                 scan(&mut windowed, &ms, &es, window),
@@ -196,11 +196,11 @@ fn main() {
                 "mixed-traffic oracle"
             );
         }
-        let mut modexp_always = BatchModExp::new(BitSlicedBatch::new(params.clone()));
+        let mut modexp_always = BatchModExp::new(EngineKind::BitSliced.build(params.clone()));
         let modexp_always_ns = time_ns_per_call(budget_ms, || {
             black_box(scan(&mut modexp_always, black_box(&ms), black_box(&es), 1));
         }) / MAX_LANES as f64;
-        let mut modexp_window = BatchModExp::new(BitSlicedBatch::new(params.clone()));
+        let mut modexp_window = BatchModExp::new(EngineKind::BitSliced.build(params.clone()));
         let modexp_window_ns = time_ns_per_call(budget_ms, || {
             black_box(scan(
                 &mut modexp_window,

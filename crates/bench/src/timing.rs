@@ -32,12 +32,11 @@
 //! them under `MMM_TIMING_GATE=1`.
 
 use mmm_bigint::Ubig;
-use mmm_core::cios::CiosBatch;
 pub use mmm_core::config::HardeningMode;
 use mmm_core::expo_batch::BatchModExp;
 use mmm_core::modgen::random_safe_params;
 use mmm_core::traits::BatchMontMul;
-use mmm_core::{ScalarSet, WindowPolicy};
+use mmm_core::{EngineKind, ScalarSet, WindowPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -232,7 +231,7 @@ pub fn probe_digit_selection(mode: HardeningMode, n_per_class: usize) -> TimingR
         }
         &v - &Ubig::one()
     };
-    let mut engine = CiosBatch::new(params.clone());
+    let mut engine = EngineKind::Cios.build(params.clone());
     engine.set_hardening(mode);
     let mut me = BatchModExp::new(engine);
     let samples = sample_interleaved(
@@ -275,7 +274,7 @@ pub fn probe_final_subtraction(mode: HardeningMode, n_per_class: usize) -> Timin
     // flag that public difference as a leak. The secret under test is
     // only whether the canonicalizing subtraction fires.
     let lo = Ubig::pow2(L - 1);
-    let mut engine = CiosBatch::new(params.clone());
+    let mut engine = EngineKind::Cios.build(params.clone());
     engine.set_hardening(mode);
     let samples = sample_interleaved(
         n_per_class,

@@ -38,9 +38,16 @@
 //!
 //! All 64 lanes share the modulus `N` (the multi-user serving shape:
 //! one key, many requests) but have independent `x`/`y` operands. The
-//! hot loop is allocation-free: every buffer lives in the engine and
+//! hot loop is allocation-free: every buffer lives in the datapath and
 //! is reused across batches, in the same spirit as
 //! [`crate::wave_packed::PackedWaveArray::step`].
+//!
+//! This module holds the datapath only — bit planes, transposition,
+//! the wave kernel and the bit-row canonicalizing subtraction. The
+//! engine around it (validation, hardening, the `3l + 4` cycle count,
+//! [`BatchMontMul`]) is the one shell every backend shares,
+//! [`crate::engine::AnyBatchEngine`], built with
+//! `EngineKind::BitSliced.build(params)`.
 //!
 //! Lane-for-lane, results are bit-identical to a solo
 //! [`crate::wave_packed::PackedMmmc`] run — asserted by the module
@@ -48,8 +55,8 @@
 //! workloads wider than 64 lanes, [`try_mont_mul_many`] shards across
 //! engines with rayon.
 
-use crate::config::{EngineConfig, HardeningMode};
-use crate::error::{validate_mont_batch, MmmError, OperandBound};
+use crate::config::EngineConfig;
+use crate::error::{MmmError, OperandBound};
 use crate::montgomery::MontgomeryParams;
 use crate::pool;
 use crate::traits::{BatchMontMul, MontMul};
@@ -59,11 +66,16 @@ use mmm_bigint::Ubig;
 /// Lanes one engine advances per simulated cycle (bits in a word).
 pub const MAX_LANES: usize = 64;
 
-/// The bit-sliced batch engine. State layout: every vector has `l + 2`
-/// positions (the systolic array's digit positions), each a lane word.
+/// The bit-sliced datapath behind [`EngineKind::BitSliced`]: the
+/// engine's native bit-plane buffers plus the load/run/store stages the
+/// [`AnyBatchEngine`] shell drives. State layout: every vector has
+/// `l + 2` positions (the systolic array's digit positions), each a
+/// lane word.
+///
+/// [`EngineKind::BitSliced`]: crate::engine::EngineKind::BitSliced
+/// [`AnyBatchEngine`]: crate::engine::AnyBatchEngine
 #[derive(Debug, Clone)]
-pub struct BitSlicedBatch {
-    params: MontgomeryParams,
+pub(crate) struct BitSlicedDatapath {
     l: usize,
     /// Modulus broadcast: `n_pos[j]` is all-ones iff bit `j` of `N` is
     /// set (every lane shares `N`).
@@ -78,20 +90,13 @@ pub struct BitSlicedBatch {
     /// `m_even[u]` is the rightmost cell's `m` lane word from cycle
     /// `2u` — the only `m` values the live wave lattice ever consumes.
     m_even: Vec<u64>,
-    total_cycles: u64,
-    /// Constant-time mode: when hardened, every result is
-    /// canonicalized `< N` by [`cond_sub_bitsliced`].
-    hardening: HardeningMode,
 }
 
-impl BitSlicedBatch {
-    /// Creates an engine for `params` (same hardware-safety contract
-    /// as the other array engines), rejecting hardware-unsafe
-    /// parameters with [`MmmError::HardwareUnsafeWidth`].
-    pub fn try_new(params: MontgomeryParams) -> Result<Self, MmmError> {
-        if !params.is_hardware_safe() {
-            return Err(MmmError::HardwareUnsafeWidth { l: params.l() });
-        }
+impl BitSlicedDatapath {
+    /// Allocates the bit planes for `params`. The hardware-safety
+    /// contract of the array is checked by the caller
+    /// ([`crate::engine::EngineKind::ensure_supports`]).
+    pub(crate) fn new(params: &MontgomeryParams) -> Self {
         let l = params.l();
         let w = l + 2;
         let mut n_pos = vec![0u64; w];
@@ -100,8 +105,7 @@ impl BitSlicedBatch {
                 *slot = u64::MAX;
             }
         }
-        Ok(BitSlicedBatch {
-            params,
+        BitSlicedDatapath {
             l,
             n_pos,
             x_pos: vec![0; w],
@@ -110,34 +114,12 @@ impl BitSlicedBatch {
             c0: vec![0; w],
             c1: vec![0; w],
             m_even: vec![0; w],
-            total_cycles: 0,
-            hardening: HardeningMode::Off,
-        })
+        }
     }
 
-    /// Creates an engine for `params`.
-    ///
-    /// # Panics
-    /// Panics if the parameters are not hardware-safe;
-    /// [`BitSlicedBatch::try_new`] is the fallible variant.
-    pub fn new(params: MontgomeryParams) -> Self {
-        Self::try_new(params).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The engine's parameters.
-    pub fn params(&self) -> &MontgomeryParams {
-        &self.params
-    }
-
-    /// Zeroes the accumulated cycle counter. The engine pool calls
-    /// this on checkout so a recycled engine reports only the current
-    /// loan's cycles, matching a freshly built engine.
-    pub fn reset_cycle_counter(&mut self) {
-        self.total_cycles = 0;
-    }
-
-    /// Loads a batch of operands and clears the array registers.
-    fn load(&mut self, xs: &[Ubig], ys: &[Ubig]) {
+    /// Transposes a validated batch of operands into bit planes and
+    /// clears the array registers.
+    pub(crate) fn load(&mut self, xs: &[Ubig], ys: &[Ubig]) {
         let w = self.l + 2;
         lanes_to_slices_into(xs, w, &mut self.x_pos);
         lanes_to_slices_into(ys, w, &mut self.y_pos);
@@ -147,42 +129,11 @@ impl BitSlicedBatch {
         self.m_even.fill(0);
     }
 
-    /// Runs one batch of up to 64 multiplications, writing the
-    /// per-lane results into `out` and returning the cycle count
-    /// (`3l + 4`, identical to every other array engine — the batch
-    /// dimension is free).
-    ///
-    /// This is the allocation-free primitive of the engine: the lane
-    /// state lives in `self` (reused across calls, mirroring
-    /// `PackedMmmc::reset_with`) and the output lanes recycle `out`'s
-    /// limb buffers, so once warm a call performs **zero** heap
-    /// allocations — asserted by `tests/alloc_free.rs` with a counting
-    /// global allocator.
-    ///
-    /// # Panics
-    /// Panics on empty input, mismatched lengths, more than
-    /// [`MAX_LANES`] lanes, or any operand `≥ 2N`;
-    /// [`BitSlicedBatch::try_mont_mul_batch_into`] is the fallible
-    /// variant.
-    pub fn mont_mul_batch_into(&mut self, xs: &[Ubig], ys: &[Ubig], out: &mut Vec<Ubig>) -> u64 {
-        self.try_mont_mul_batch_into(xs, ys, out)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Self::mont_mul_batch_into`] returning every input rejection
-    /// as a typed [`MmmError`] (with the offending lane index for
-    /// out-of-range operands) instead of panicking.
-    pub fn try_mont_mul_batch_into(
-        &mut self,
-        xs: &[Ubig],
-        ys: &[Ubig],
-        out: &mut Vec<Ubig>,
-    ) -> Result<u64, MmmError> {
-        validate_mont_batch(&self.params, MAX_LANES, xs, ys)?;
-        let l = self.l;
-        self.load(xs, ys);
+    /// Runs the `3l + 4`-cycle wave-band simulation on the loaded
+    /// batch (the batch dimension is free).
+    pub(crate) fn run(&mut self) {
         run_wave(
-            l,
+            self.l,
             &self.x_pos,
             &self.y_pos,
             &self.n_pos,
@@ -191,13 +142,17 @@ impl BitSlicedBatch {
             &mut self.c1,
             &mut self.m_even,
         );
-        let cycles = (3 * l + 4) as u64;
-        self.total_cycles += cycles;
-        if self.hardening.is_hardened() {
-            cond_sub_bitsliced(l, &self.n_pos, &mut self.t);
-        }
-        slices_to_lanes_into(&self.t[1..=l + 1], xs.len(), out);
-        Ok(cycles)
+    }
+
+    /// Canonicalizes every lane of the result `< N` in place.
+    pub(crate) fn cond_sub(&mut self) {
+        cond_sub_bitsliced(self.l, &self.n_pos, &mut self.t);
+    }
+
+    /// Transposes the first `lanes` results back into `out`, recycling
+    /// its limb buffers.
+    pub(crate) fn store(&self, lanes: usize, out: &mut Vec<Ubig>) {
+        slices_to_lanes_into(&self.t[1..=self.l + 1], lanes, out);
     }
 }
 
@@ -329,42 +284,6 @@ fn cond_sub_bitsliced(l: usize, n_pos: &[u64], t: &mut [u64]) {
     }
 }
 
-impl BatchMontMul for BitSlicedBatch {
-    fn params(&self) -> &MontgomeryParams {
-        &self.params
-    }
-
-    fn max_lanes(&self) -> usize {
-        MAX_LANES
-    }
-
-    fn mont_mul_batch(&mut self, xs: &[Ubig], ys: &[Ubig]) -> Vec<Ubig> {
-        let mut out = Vec::with_capacity(xs.len());
-        BitSlicedBatch::mont_mul_batch_into(self, xs, ys, &mut out);
-        out
-    }
-
-    fn mont_mul_batch_into(&mut self, xs: &[Ubig], ys: &[Ubig], out: &mut Vec<Ubig>) {
-        BitSlicedBatch::mont_mul_batch_into(self, xs, ys, out);
-    }
-
-    fn consumed_cycles(&self) -> Option<u64> {
-        Some(self.total_cycles)
-    }
-
-    fn set_hardening(&mut self, mode: HardeningMode) {
-        self.hardening = mode;
-    }
-
-    fn hardening(&self) -> HardeningMode {
-        self.hardening
-    }
-
-    fn name(&self) -> &'static str {
-        "bit-sliced batch (64 lanes)"
-    }
-}
-
 /// Adapter running a scalar [`MontMul`] engine lane by lane behind the
 /// [`BatchMontMul`] interface — the baseline the bit-sliced engine is
 /// benchmarked against, and a correctness cross-check.
@@ -417,7 +336,8 @@ impl<E: MontMul> BatchMontMul for SequentialBatch<E> {
 /// hardware-unsafe parameters — comes back as a typed [`MmmError`]
 /// instead of a panic, so one bad request cannot abort a serving
 /// process. Empty input is `Ok(vec![])` (a sharding façade has no
-/// lanes to reject). Under [`HardeningMode::Hardened`] results are the
+/// lanes to reject). Under
+/// [`HardeningMode::Hardened`](crate::config::HardeningMode::Hardened) results are the
 /// canonical `< N` representatives (the same residues; `Off` returns
 /// the raw Algorithm-2 `< 2N` values).
 pub fn try_mont_mul_many(
@@ -448,6 +368,8 @@ pub fn try_mont_mul_many(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::HardeningMode;
+    use crate::engine::EngineKind;
     use crate::modgen::{random_operand, random_safe_params};
     use crate::montgomery::mont_mul_alg2;
     use crate::wave_packed::PackedMmmc;
@@ -462,9 +384,10 @@ mod tests {
             let lanes = 64.min(2 * l);
             let xs: Vec<Ubig> = (0..lanes).map(|_| random_operand(&mut rng, &p)).collect();
             let ys: Vec<Ubig> = (0..lanes).map(|_| random_operand(&mut rng, &p)).collect();
-            let mut batch = BitSlicedBatch::new(p.clone());
+            let mut batch = EngineKind::BitSliced.build(p.clone());
             let mut got = Vec::new();
-            let cycles = batch.mont_mul_batch_into(&xs, &ys, &mut got);
+            batch.mont_mul_batch_into(&xs, &ys, &mut got);
+            let cycles = batch.consumed_cycles().expect("the array counts cycles");
             assert_eq!(cycles, (3 * l + 4) as u64);
             let mut solo = PackedMmmc::new(p.clone());
             for k in 0..lanes {
@@ -485,7 +408,7 @@ mod tests {
             let lanes = 64.min(2 * l);
             let xs: Vec<Ubig> = (0..lanes).map(|_| random_operand(&mut rng, &p)).collect();
             let ys: Vec<Ubig> = (0..lanes).map(|_| random_operand(&mut rng, &p)).collect();
-            let mut batch = BitSlicedBatch::new(p.clone());
+            let mut batch = EngineKind::BitSliced.build(p.clone());
             batch.set_hardening(HardeningMode::Hardened);
             let got = batch.mont_mul_batch(&xs, &ys);
             for k in 0..lanes {
@@ -506,7 +429,7 @@ mod tests {
     fn partial_batches_match_reference() {
         let mut rng = StdRng::seed_from_u64(202);
         let p = random_safe_params(&mut rng, 48);
-        let mut batch = BitSlicedBatch::new(p.clone());
+        let mut batch = EngineKind::BitSliced.build(p.clone());
         for lanes in [1usize, 3, 63, 64] {
             let xs: Vec<Ubig> = (0..lanes).map(|_| random_operand(&mut rng, &p)).collect();
             let ys: Vec<Ubig> = (0..lanes).map(|_| random_operand(&mut rng, &p)).collect();
@@ -526,7 +449,7 @@ mod tests {
     fn engine_is_reusable_across_batches() {
         let mut rng = StdRng::seed_from_u64(203);
         let p = random_safe_params(&mut rng, 20);
-        let mut batch = BitSlicedBatch::new(p.clone());
+        let mut batch = EngineKind::BitSliced.build(p.clone());
         for round in 0..5 {
             let xs: Vec<Ubig> = (0..7).map(|_| random_operand(&mut rng, &p)).collect();
             let ys: Vec<Ubig> = (0..7).map(|_| random_operand(&mut rng, &p)).collect();
@@ -545,7 +468,7 @@ mod tests {
         let xs: Vec<Ubig> = (0..10).map(|_| random_operand(&mut rng, &p)).collect();
         let ys: Vec<Ubig> = (0..10).map(|_| random_operand(&mut rng, &p)).collect();
         let mut seq = SequentialBatch::new(PackedMmmc::new(p.clone()));
-        let mut bat = BitSlicedBatch::new(p.clone());
+        let mut bat = EngineKind::BitSliced.build(p.clone());
         assert_eq!(seq.mont_mul_batch(&xs, &ys), bat.mont_mul_batch(&xs, &ys));
     }
 
@@ -575,7 +498,7 @@ mod tests {
         let p = random_safe_params(&mut rng, 8);
         let xs: Vec<Ubig> = (0..65).map(|_| random_operand(&mut rng, &p)).collect();
         let ys = xs.clone();
-        let _ = BitSlicedBatch::new(p).mont_mul_batch(&xs, &ys);
+        let _ = EngineKind::BitSliced.build(p).mont_mul_batch(&xs, &ys);
     }
 
     #[test]
@@ -584,7 +507,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(207);
         let p = random_safe_params(&mut rng, 8);
         let bad = p.two_n();
-        let _ = BitSlicedBatch::new(p.clone())
+        let _ = EngineKind::BitSliced
+            .build(p.clone())
             .mont_mul_batch(std::slice::from_ref(&bad), std::slice::from_ref(&bad));
     }
 }

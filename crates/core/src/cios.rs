@@ -22,8 +22,8 @@
 //! CIOS steps plus one final partial reduction by the remaining `(l+2)
 //! mod 64` bits (the total quotient `M < 2^{l+2}` is *unique*, so any
 //! factoring of the shift yields the identical integer). The result is
-//! therefore **bit-identical** to [`crate::batch::BitSlicedBatch`] and
-//! every other Algorithm-2 engine, lane for lane, including the
+//! therefore **bit-identical** to the bit-sliced array
+//! ([`crate::batch`]) and every other Algorithm-2 engine, lane for lane, including the
 //! non-canonical `< 2N` representative — which is what lets the
 //! backend-dispatch layer ([`crate::engine`]) swap engines under every
 //! entry point with no domain conversions and no behavioural change.
@@ -33,8 +33,10 @@
 //!
 //! ## Batch layout
 //!
-//! [`CiosBatch`] advances up to 64 independent multiplications per
-//! call in a **struct-of-arrays** lane layout: `lanes × limbs` with the
+//! The batch datapath (built with `EngineKind::Cios.build(params)`
+//! and driven by the shared [`crate::engine::AnyBatchEngine`] shell)
+//! advances up to 64 independent multiplications per call in a
+//! **struct-of-arrays** lane layout: `lanes × limbs` with the
 //! lane index contiguous (`t[j·64 + k]` is limb `j` of lane `k`), so
 //! the inner MAC loop at fixed limb `j` is a unit-stride scan over
 //! lanes with **independent per-lane carries** — no carry chain crosses
@@ -48,7 +50,8 @@
 //! Walter bound keeps results `< 2N`), no data-dependent branches, and
 //! a memory access pattern that depends only on `(l, lanes)` — the
 //! quotient words `m` feed multiplies, never indexing. Under
-//! [`HardeningMode::Hardened`] the engine appends a **branchless
+//! [`HardeningMode::Hardened`](crate::config::HardeningMode::Hardened)
+//! the engine shell appends a **branchless
 //! canonicalizing final subtraction** (`cond_sub_rows`): two fixed
 //! passes over the SoA accumulator (a borrow chain to decide `t ≥ N`
 //! per lane, a masked subtraction to apply it), so outputs are `< N`
@@ -56,16 +59,14 @@
 //! leaks (secret-indexed power-table loads) are closed separately in
 //! [`crate::expo_batch`]; DESIGN.md §12 has the full per-path table.
 
-use crate::config::HardeningMode;
-use crate::error::{validate_mont_batch, MmmError};
 use crate::montgomery::MontgomeryParams;
-use crate::traits::{BatchMontMul, MontMul};
+use crate::traits::MontMul;
 use mmm_bigint::ct::sbb_ct;
 use mmm_bigint::limbs::{adc, carrying_mul, mac_with_carry, Limb, LIMB_BITS};
 use mmm_bigint::transpose::{lanes_to_limbs_into, limbs_to_lanes_into};
 use mmm_bigint::Ubig;
 
-/// Lanes one [`CiosBatch`] advances per call (matches
+/// Lanes the batch datapath advances per call (matches
 /// [`crate::batch::MAX_LANES`] so sharding logic is engine-agnostic).
 pub const MAX_LANES: usize = crate::batch::MAX_LANES;
 
@@ -101,7 +102,7 @@ impl Geometry {
 }
 
 /// Scalar radix-2⁶⁴ CIOS engine: the solo-path counterpart of
-/// [`CiosBatch`], bit-identical to every Algorithm-2 engine.
+/// the batch datapath, bit-identical to every Algorithm-2 engine.
 #[derive(Debug, Clone)]
 pub struct CiosMont {
     params: MontgomeryParams,
@@ -229,13 +230,16 @@ fn run_cios_scalar(geo: Geometry, n: &[Limb], x: &[Limb], y: &[Limb], t: &mut [L
     debug_assert_eq!(t[sw + 1], 0, "result exceeds s limbs");
 }
 
-/// The radix-2⁶⁴ CIOS **batch** engine: up to 64 independent
-/// Montgomery multiplications per call in struct-of-arrays lane
-/// layout, implementing the same Algorithm-2 contract (and producing
-/// bit-identical results) as [`crate::batch::BitSlicedBatch`].
+/// The radix-2⁶⁴ CIOS datapath behind [`EngineKind::Cios`]: up to 64
+/// independent Montgomery multiplications per batch in
+/// struct-of-arrays lane layout, driven through its load/run/store
+/// stages by the [`AnyBatchEngine`] shell and bit-identical to the
+/// bit-sliced array.
+///
+/// [`EngineKind::Cios`]: crate::engine::EngineKind::Cios
+/// [`AnyBatchEngine`]: crate::engine::AnyBatchEngine
 #[derive(Debug, Clone)]
-pub struct CiosBatch {
-    params: MontgomeryParams,
+pub(crate) struct CiosDatapath {
     geo: Geometry,
     /// Modulus padded to `sw` limbs (shared by every lane).
     n: Vec<Limb>,
@@ -244,72 +248,46 @@ pub struct CiosBatch {
     y: Vec<Limb>,
     /// SoA accumulator, `sw + 2` limb rows.
     t: Vec<Limb>,
-    /// Constant-time mode: when hardened, every result is canonicalized
-    /// `< N` by [`cond_sub_rows`].
-    hardening: HardeningMode,
 }
 
-impl CiosBatch {
-    /// Creates an engine for `params`. Like [`CiosMont`] (and unlike
-    /// the array engines) any valid parameters are accepted — there is
+impl CiosDatapath {
+    /// Allocates the limb rows for `params`. Like [`CiosMont`] (and
+    /// unlike the array) any valid parameters are accepted — there is
     /// no carry cell to overflow in a word-level scan.
-    pub fn new(params: MontgomeryParams) -> Self {
-        let geo = Geometry::of(&params);
-        CiosBatch {
-            n: geo.padded_modulus(&params),
+    pub(crate) fn new(params: &MontgomeryParams) -> Self {
+        let geo = Geometry::of(params);
+        CiosDatapath {
+            n: geo.padded_modulus(params),
             x: vec![0; geo.sw * MAX_LANES],
             y: vec![0; geo.sw * MAX_LANES],
             t: vec![0; (geo.sw + 2) * MAX_LANES],
-            params,
             geo,
-            hardening: HardeningMode::Off,
         }
     }
 
-    /// The engine's parameters.
-    pub fn params(&self) -> &MontgomeryParams {
-        &self.params
-    }
-
-    /// Runs one batch of up to 64 multiplications, writing the
-    /// per-lane results into `out` (recycling its limb buffers — the
-    /// warm path performs zero heap allocations, like the bit-sliced
-    /// engine's).
-    ///
-    /// # Panics
-    /// Panics on empty input, mismatched lengths, more than
-    /// [`MAX_LANES`] lanes, or any operand `≥ 2N`;
-    /// [`CiosBatch::try_mont_mul_batch_into`] is the fallible variant.
-    pub fn mont_mul_batch_into(&mut self, xs: &[Ubig], ys: &[Ubig], out: &mut Vec<Ubig>) {
-        self.try_mont_mul_batch_into(xs, ys, out)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Self::mont_mul_batch_into`] returning every input rejection
-    /// as a typed [`MmmError`] (with the offending lane index for
-    /// out-of-range operands) instead of panicking.
-    pub fn try_mont_mul_batch_into(
-        &mut self,
-        xs: &[Ubig],
-        ys: &[Ubig],
-        out: &mut Vec<Ubig>,
-    ) -> Result<(), MmmError> {
-        validate_mont_batch(&self.params, MAX_LANES, xs, ys)?;
+    /// Transposes a validated batch into limb rows and clears the
+    /// accumulator.
+    pub(crate) fn load(&mut self, xs: &[Ubig], ys: &[Ubig]) {
         lanes_to_limbs_into(xs, self.geo.sw, MAX_LANES, &mut self.x);
         lanes_to_limbs_into(ys, self.geo.sw, MAX_LANES, &mut self.y);
         self.t.fill(0);
+    }
+
+    /// Runs the word scan on the loaded batch.
+    pub(crate) fn run(&mut self) {
         run_cios_batch(self.geo, &self.n, &self.x, &self.y, &mut self.t);
-        if self.hardening.is_hardened() {
-            cond_sub_rows(&self.n, &mut self.t, self.geo.sw);
-        }
-        limbs_to_lanes_into(
-            &self.t[..self.geo.sw * MAX_LANES],
-            self.geo.sw,
-            MAX_LANES,
-            xs.len(),
-            out,
-        );
-        Ok(())
+    }
+
+    /// Canonicalizes every lane of the result `< N` in place.
+    pub(crate) fn cond_sub(&mut self) {
+        cond_sub_rows(&self.n, &mut self.t, self.geo.sw);
+    }
+
+    /// Gathers the first `lanes` results into `out`, recycling its limb
+    /// buffers.
+    pub(crate) fn store(&self, lanes: usize, out: &mut Vec<Ubig>) {
+        let sw = self.geo.sw;
+        limbs_to_lanes_into(&self.t[..sw * MAX_LANES], sw, MAX_LANES, lanes, out);
     }
 }
 
@@ -522,43 +500,14 @@ pub(crate) fn cond_sub_rows(n: &[Limb], t: &mut [Limb], rows: usize) {
     }
 }
 
-impl BatchMontMul for CiosBatch {
-    fn params(&self) -> &MontgomeryParams {
-        &self.params
-    }
-
-    fn max_lanes(&self) -> usize {
-        MAX_LANES
-    }
-
-    fn mont_mul_batch(&mut self, xs: &[Ubig], ys: &[Ubig]) -> Vec<Ubig> {
-        let mut out = Vec::with_capacity(xs.len());
-        CiosBatch::mont_mul_batch_into(self, xs, ys, &mut out);
-        out
-    }
-
-    fn mont_mul_batch_into(&mut self, xs: &[Ubig], ys: &[Ubig], out: &mut Vec<Ubig>) {
-        CiosBatch::mont_mul_batch_into(self, xs, ys, out);
-    }
-
-    fn set_hardening(&mut self, mode: HardeningMode) {
-        self.hardening = mode;
-    }
-
-    fn hardening(&self) -> HardeningMode {
-        self.hardening
-    }
-
-    fn name(&self) -> &'static str {
-        "radix-2^64 CIOS batch (64 lanes)"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::HardeningMode;
+    use crate::engine::EngineKind;
     use crate::modgen::{random_operand, random_safe_params};
     use crate::montgomery::mont_mul_alg2;
+    use crate::traits::BatchMontMul;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -617,7 +566,7 @@ mod tests {
             let lanes = 64.min(2 * l);
             let xs: Vec<Ubig> = (0..lanes).map(|_| random_operand(&mut rng, &p)).collect();
             let ys: Vec<Ubig> = (0..lanes).map(|_| random_operand(&mut rng, &p)).collect();
-            let mut batch = CiosBatch::new(p.clone());
+            let mut batch = EngineKind::Cios.build(p.clone());
             let got = batch.mont_mul_batch(&xs, &ys);
             for k in 0..lanes {
                 assert_eq!(
@@ -633,7 +582,7 @@ mod tests {
     fn batch_cios_partial_batches_and_reuse() {
         let mut rng = StdRng::seed_from_u64(504);
         let p = random_safe_params(&mut rng, 48);
-        let mut batch = CiosBatch::new(p.clone());
+        let mut batch = EngineKind::Cios.build(p.clone());
         for lanes in [1usize, 3, 63, 64] {
             let xs: Vec<Ubig> = (0..lanes).map(|_| random_operand(&mut rng, &p)).collect();
             let ys: Vec<Ubig> = (0..lanes).map(|_| random_operand(&mut rng, &p)).collect();
@@ -654,7 +603,7 @@ mod tests {
         // The Algorithm-2 closure property on the batch path.
         let mut rng = StdRng::seed_from_u64(505);
         let p = random_safe_params(&mut rng, 70);
-        let mut batch = CiosBatch::new(p.clone());
+        let mut batch = EngineKind::Cios.build(p.clone());
         let xs: Vec<Ubig> = (0..16).map(|_| random_operand(&mut rng, &p)).collect();
         let mut a = batch.mont_mul_batch(&xs, &xs);
         let mut want: Vec<Ubig> = xs.iter().map(|x| mont_mul_alg2(&p, x, x)).collect();
@@ -673,7 +622,7 @@ mod tests {
             let lanes = 64.min(2 * l);
             let xs: Vec<Ubig> = (0..lanes).map(|_| random_operand(&mut rng, &p)).collect();
             let ys: Vec<Ubig> = (0..lanes).map(|_| random_operand(&mut rng, &p)).collect();
-            let mut batch = CiosBatch::new(p.clone());
+            let mut batch = EngineKind::Cios.build(p.clone());
             batch.set_hardening(HardeningMode::Hardened);
             assert_eq!(batch.hardening(), HardeningMode::Hardened);
             let got = batch.mont_mul_batch(&xs, &ys);
@@ -698,7 +647,7 @@ mod tests {
         let p = random_safe_params(&mut rng, 8);
         let xs: Vec<Ubig> = (0..65).map(|_| random_operand(&mut rng, &p)).collect();
         let ys = xs.clone();
-        let _ = CiosBatch::new(p).mont_mul_batch(&xs, &ys);
+        let _ = EngineKind::Cios.build(p).mont_mul_batch(&xs, &ys);
     }
 
     #[test]
@@ -707,7 +656,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(507);
         let p = random_safe_params(&mut rng, 8);
         let bad = p.two_n();
-        let _ = CiosBatch::new(p.clone())
+        let _ = EngineKind::Cios
+            .build(p.clone())
             .mont_mul_batch(std::slice::from_ref(&bad), std::slice::from_ref(&bad));
     }
 }

@@ -39,7 +39,7 @@
 //! variant with `R = 2^{52·s}`. The reduction by `2^{l+2}` factors
 //! into `⌊(l+2)/52⌋` full 52-bit steps plus one partial step for the
 //! remaining `(l+2) mod 52` bits, so the result is **bit-identical**
-//! to [`crate::cios::CiosBatch`], [`crate::batch::BitSlicedBatch`]
+//! to the radix-2⁶⁴ scan, the bit-sliced array ([`crate::batch`])
 //! and `Ubig::modpow`, including the non-canonical `< 2N`
 //! representative. Operands enter and leave in ordinary 64-bit limbs;
 //! the 64↔52-bit conversions ([`limbs_to_digits52`] /
@@ -53,25 +53,24 @@
 //!
 //! Identical to the radix-2⁶⁴ scan: fixed schedule, no final
 //! subtraction, no data-dependent branches; quotient digits feed
-//! multiplies, never indexing. Under [`HardeningMode::Hardened`] the
+//! multiplies, never indexing. Under
+//! [`HardeningMode::Hardened`](crate::config::HardeningMode::Hardened)
+//! the engine shell ([`crate::engine::AnyBatchEngine`]) gives the
 //! word-form output (after the digit→word scatter, which is
-//! shape-driven and value-independent) gets the same branchless
+//! shape-driven and value-independent) the same branchless
 //! canonicalizing final subtraction as the radix-2⁶⁴ backend
 //! (`cios::cond_sub_rows`) — one decision borrow chain plus
 //! one masked subtraction per lane, so hardened outputs are `< N` on
 //! every kernel with a value-independent schedule. DESIGN.md §12 has
 //! the full per-path table.
 
-use crate::config::HardeningMode;
-use crate::error::{validate_mont_batch, MmmError};
 use crate::montgomery::MontgomeryParams;
-use crate::traits::BatchMontMul;
 use mmm_bigint::limbs::{Limb, LIMB_BITS};
 use mmm_bigint::transpose::{lanes_to_limbs_into, limbs_to_lanes_into};
 use mmm_bigint::Ubig;
 use std::sync::OnceLock;
 
-/// Lanes one [`Cios52Batch`] advances per call (matches
+/// Lanes the batch datapath advances per call (matches
 /// [`crate::batch::MAX_LANES`] so sharding logic is engine-agnostic).
 pub const MAX_LANES: usize = crate::batch::MAX_LANES;
 
@@ -218,7 +217,7 @@ fn soa_digits52_to_words(digits: &[Limb], s: usize, words: &mut [Limb], sw: usiz
     }
 }
 
-/// Which concrete inner-loop implementation a [`Cios52Batch`] runs.
+/// Which concrete inner-loop implementation a radix-2⁵² engine runs.
 /// All kernels compute the identical function; selection is purely a
 /// throughput decision made once per process from CPU features.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -268,7 +267,7 @@ impl Cios52Kernel {
     }
 
     /// The strongest kernel this host can run — what
-    /// [`Cios52Batch::new`] selects.
+    /// `EngineKind::Cios52.build` selects.
     pub fn active() -> Cios52Kernel {
         *Self::available()
             .last()
@@ -287,19 +286,22 @@ impl Cios52Kernel {
     }
 }
 
-/// The radix-2⁵² carry-save CIOS **batch** engine: up to 64
-/// independent Montgomery multiplications per call in
-/// struct-of-arrays lane layout, bit-identical to every other
-/// Algorithm-2 engine.
+/// The radix-2⁵² carry-save CIOS datapath behind
+/// [`EngineKind::Cios52`]: up to 64 independent Montgomery
+/// multiplications per batch in struct-of-arrays lane layout, driven
+/// through its load/run/store stages by the [`AnyBatchEngine`] shell and
+/// bit-identical to every other Algorithm-2 engine.
+///
+/// [`EngineKind::Cios52`]: crate::engine::EngineKind::Cios52
+/// [`AnyBatchEngine`]: crate::engine::AnyBatchEngine
 #[derive(Debug, Clone)]
-pub struct Cios52Batch {
-    params: MontgomeryParams,
+pub(crate) struct Cios52Datapath {
     geo: Geometry,
     kernel: Cios52Kernel,
     /// Modulus as `s` normalized 52-bit digits (shared by all lanes).
     n: Vec<Limb>,
     /// Modulus in 64-bit word form padded to `sw` limbs — what the
-    /// hardened final subtraction compares the word-form output
+    /// canonicalizing subtraction compares the word-form output
     /// against.
     n_words: Vec<Limb>,
     /// Word-domain SoA staging buffer (`sw` rows), reused for input
@@ -310,184 +312,121 @@ pub struct Cios52Batch {
     y: Vec<Limb>,
     /// Digit-domain SoA accumulator, `s + 2` rows.
     t: Vec<Limb>,
-    /// Constant-time mode: when hardened, every result is
-    /// canonicalized `< N` (see the module docs).
-    hardening: HardeningMode,
 }
 
-impl Cios52Batch {
-    /// Creates an engine for `params` running the strongest kernel
-    /// this host supports ([`Cios52Kernel::active`]). Like the other
-    /// software scans there is no hardware-safety requirement: any
-    /// valid parameters (e.g. `tight` widths) are accepted.
-    pub fn new(params: MontgomeryParams) -> Self {
-        Self::with_kernel(params, Cios52Kernel::active())
-    }
-
-    /// Creates an engine pinned to a specific kernel — how the tests
-    /// cross-check every available kernel against the oracle.
+impl Cios52Datapath {
+    /// Allocates the digit rows for `params`, pinned to `kernel`. Like
+    /// the other software scans there is no hardware-safety
+    /// requirement: any valid parameters (e.g. `tight` widths) are
+    /// accepted.
     ///
     /// # Panics
     /// Panics if `kernel` is not in [`Cios52Kernel::available`] on
     /// this host.
-    pub fn with_kernel(params: MontgomeryParams, kernel: Cios52Kernel) -> Self {
+    pub(crate) fn new(params: &MontgomeryParams, kernel: Cios52Kernel) -> Self {
         assert!(
             Cios52Kernel::available().contains(&kernel),
             "kernel {} not available on this host",
             kernel.name()
         );
-        let geo = Geometry::of(&params);
+        let geo = Geometry::of(params);
         let mut n_words = params.n().limbs().to_vec();
         n_words.resize(geo.sw, 0);
-        Cios52Batch {
+        Cios52Datapath {
             n: limbs_to_digits52(&n_words, geo.s),
             n_words,
             wscratch: vec![0; geo.sw * MAX_LANES],
             x: vec![0; geo.s * MAX_LANES],
             y: vec![0; geo.s * MAX_LANES],
             t: vec![0; (geo.s + 2) * MAX_LANES],
-            params,
             geo,
             kernel,
-            hardening: HardeningMode::Off,
         }
     }
 
-    /// The engine's parameters.
-    pub fn params(&self) -> &MontgomeryParams {
-        &self.params
-    }
-
-    /// Which kernel this engine runs.
-    pub fn kernel(&self) -> Cios52Kernel {
+    /// Which kernel this datapath runs.
+    pub(crate) fn kernel(&self) -> Cios52Kernel {
         self.kernel
     }
 
-    /// Rebuilds this engine on the next-weaker available kernel
+    /// Steps down to the next-weaker available kernel
     /// ([`Cios52Kernel::weaker`]); `true` if a demotion happened,
-    /// `false` when already on the portable kernel. Scratch buffers
-    /// are rebuilt — demotion is a cold recovery path, not a hot one.
-    pub fn demote(&mut self) -> bool {
+    /// `false` when already on the portable kernel. The buffers are
+    /// kernel-independent, so they stay.
+    pub(crate) fn demote(&mut self) -> bool {
         match self.kernel.weaker() {
             Some(weaker) => {
-                // The rebuild must not silently drop the constant-time
-                // mode — a demoted hardened engine stays hardened.
-                let hardening = self.hardening;
-                *self = Cios52Batch::with_kernel(self.params.clone(), weaker);
-                self.hardening = hardening;
+                self.kernel = weaker;
                 true
             }
             None => false,
         }
     }
 
-    /// Runs one batch of up to 64 multiplications, writing the
-    /// per-lane results into `out` (recycling its limb buffers — the
-    /// warm path performs zero heap allocations, like the other batch
-    /// engines').
-    ///
-    /// # Panics
-    /// Panics on empty input, mismatched lengths, more than
-    /// [`MAX_LANES`] lanes, or any operand `≥ 2N`;
-    /// [`Cios52Batch::try_mont_mul_batch_into`] is the fallible
-    /// variant.
-    pub fn mont_mul_batch_into(&mut self, xs: &[Ubig], ys: &[Ubig], out: &mut Vec<Ubig>) {
-        self.try_mont_mul_batch_into(xs, ys, out)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Self::mont_mul_batch_into`] returning every input rejection
-    /// as a typed [`MmmError`] instead of panicking.
-    pub fn try_mont_mul_batch_into(
-        &mut self,
-        xs: &[Ubig],
-        ys: &[Ubig],
-        out: &mut Vec<Ubig>,
-    ) -> Result<(), MmmError> {
-        validate_mont_batch(&self.params, MAX_LANES, xs, ys)?;
-        lanes_to_limbs_into(xs, self.geo.sw, MAX_LANES, &mut self.wscratch);
-        soa_words_to_digits52(&self.wscratch, self.geo.sw, &mut self.x, self.geo.s);
-        lanes_to_limbs_into(ys, self.geo.sw, MAX_LANES, &mut self.wscratch);
-        soa_words_to_digits52(&self.wscratch, self.geo.sw, &mut self.y, self.geo.s);
-        self.t.fill(0);
-        self.run_kernel();
-        soa_digits52_to_words(&self.t, self.geo.s, &mut self.wscratch, self.geo.sw);
-        if self.hardening.is_hardened() {
-            crate::cios::cond_sub_rows(&self.n_words, &mut self.wscratch, self.geo.sw);
+    /// Engine name for reports, naming the kernel that runs.
+    pub(crate) fn name(&self) -> &'static str {
+        match self.kernel {
+            Cios52Kernel::Portable => "radix-2^52 carry-save CIOS batch (portable, 64 lanes)",
+            Cios52Kernel::Avx2 => "radix-2^52 carry-save CIOS batch (avx2, 64 lanes)",
+            Cios52Kernel::Ifma => "radix-2^52 carry-save CIOS batch (ifma, 64 lanes)",
         }
-        limbs_to_lanes_into(
-            &self.wscratch[..self.geo.sw * MAX_LANES],
-            self.geo.sw,
-            MAX_LANES,
-            xs.len(),
-            out,
-        );
-        Ok(())
     }
 
-    /// Dispatches to the selected kernel. The SIMD kernels are
-    /// `unsafe` only because of their `#[target_feature]` contract —
-    /// [`Cios52Batch::with_kernel`] already proved the features are
-    /// present on this host.
+    /// Transposes a validated batch into word rows, splits those into
+    /// 52-bit digit rows and clears the accumulator.
+    pub(crate) fn load(&mut self, xs: &[Ubig], ys: &[Ubig]) {
+        let Geometry { s, sw, .. } = self.geo;
+        lanes_to_limbs_into(xs, sw, MAX_LANES, &mut self.wscratch);
+        soa_words_to_digits52(&self.wscratch, sw, &mut self.x, s);
+        lanes_to_limbs_into(ys, sw, MAX_LANES, &mut self.wscratch);
+        soa_words_to_digits52(&self.wscratch, sw, &mut self.y, s);
+        self.t.fill(0);
+    }
+
+    /// Runs the selected kernel on the loaded batch and packs the
+    /// normalized digit rows back into word rows — the form the
+    /// canonicalizing subtraction and [`Self::store`] read. The SIMD
+    /// kernels are `unsafe` only because of their `#[target_feature]`
+    /// contract.
     #[allow(unsafe_code)]
-    fn run_kernel(&mut self) {
+    pub(crate) fn run(&mut self) {
         match self.kernel {
             Cios52Kernel::Portable => {
                 run_cios52_portable(self.geo, &self.n, &self.x, &self.y, &mut self.t)
             }
+            // SAFETY: `kernel` is private and only ever set by `new`
+            // (which asserts it is in `Cios52Kernel::available()`) or
+            // `demote` (`weaker()` returns only available kernels), so
+            // this host has AVX2.
             #[cfg(target_arch = "x86_64")]
             Cios52Kernel::Avx2 => unsafe {
                 run_cios52_avx2(self.geo, &self.n, &self.x, &self.y, &mut self.t)
             },
+            // SAFETY: as above — an `Ifma` kernel is only held when
+            // this host has AVX-512F and AVX-512-IFMA.
             #[cfg(target_arch = "x86_64")]
             Cios52Kernel::Ifma => unsafe {
                 run_cios52_ifma(self.geo, &self.n, &self.x, &self.y, &mut self.t)
             },
             #[cfg(not(target_arch = "x86_64"))]
             Cios52Kernel::Avx2 | Cios52Kernel::Ifma => {
-                unreachable!("SIMD kernels are x86-64 only and gated by with_kernel")
+                unreachable!("SIMD kernels are x86-64 only and gated by Cios52Datapath::new")
             }
         }
-    }
-}
-
-impl BatchMontMul for Cios52Batch {
-    fn params(&self) -> &MontgomeryParams {
-        &self.params
+        soa_digits52_to_words(&self.t, self.geo.s, &mut self.wscratch, self.geo.sw);
     }
 
-    fn max_lanes(&self) -> usize {
-        MAX_LANES
+    /// Canonicalizes every lane of the word-form result `< N` in place
+    /// (the radix-2⁶⁴ backend's `cond_sub_rows`).
+    pub(crate) fn cond_sub(&mut self) {
+        crate::cios::cond_sub_rows(&self.n_words, &mut self.wscratch, self.geo.sw);
     }
 
-    fn mont_mul_batch(&mut self, xs: &[Ubig], ys: &[Ubig]) -> Vec<Ubig> {
-        let mut out = Vec::with_capacity(xs.len());
-        Cios52Batch::mont_mul_batch_into(self, xs, ys, &mut out);
-        out
-    }
-
-    fn mont_mul_batch_into(&mut self, xs: &[Ubig], ys: &[Ubig], out: &mut Vec<Ubig>) {
-        Cios52Batch::mont_mul_batch_into(self, xs, ys, out);
-    }
-
-    fn demote_kernel(&mut self) -> bool {
-        self.demote()
-    }
-
-    fn set_hardening(&mut self, mode: HardeningMode) {
-        self.hardening = mode;
-    }
-
-    fn hardening(&self) -> HardeningMode {
-        self.hardening
-    }
-
-    fn name(&self) -> &'static str {
-        match self.kernel {
-            Cios52Kernel::Portable => "radix-2^52 carry-save CIOS batch (portable, 64 lanes)",
-            Cios52Kernel::Avx2 => "radix-2^52 carry-save CIOS batch (avx2, 64 lanes)",
-            Cios52Kernel::Ifma => "radix-2^52 carry-save CIOS batch (ifma, 64 lanes)",
-        }
+    /// Gathers the first `lanes` results into `out`, recycling its limb
+    /// buffers.
+    pub(crate) fn store(&self, lanes: usize, out: &mut Vec<Ubig>) {
+        let sw = self.geo.sw;
+        limbs_to_lanes_into(&self.wscratch[..sw * MAX_LANES], sw, MAX_LANES, lanes, out);
     }
 }
 
@@ -1057,10 +996,18 @@ unsafe fn run_cios52_avx2(geo: Geometry, n: &[Limb], x: &[Limb], y: &[Limb], t: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::HardeningMode;
+    use crate::engine::{AnyBatchEngine, EngineKind};
     use crate::modgen::{random_operand, random_safe_params};
     use crate::montgomery::mont_mul_alg2;
+    use crate::traits::BatchMontMul;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// The kernel a radix-2⁵² engine runs.
+    fn kernel_of(e: &AnyBatchEngine) -> Cios52Kernel {
+        e.cios52_kernel().expect("a radix-2^52 engine")
+    }
 
     #[test]
     fn kernel_detection_is_cached_and_nonempty() {
@@ -1117,19 +1064,19 @@ mod tests {
             .zip(&ys)
             .map(|(x, y)| mont_mul_alg2(&p, x, y))
             .collect();
-        let mut e = Cios52Batch::new(p.clone());
-        assert_eq!(e.kernel(), Cios52Kernel::active());
+        let mut e = EngineKind::Cios52.build(p.clone());
+        assert_eq!(kernel_of(&e), Cios52Kernel::active());
         let mut demotions = 0;
         loop {
             let mut out = Vec::new();
             e.mont_mul_batch_into(&xs, &ys, &mut out);
-            assert_eq!(out, want, "kernel {} wrong", e.kernel().name());
-            if !e.demote() {
+            assert_eq!(out, want, "kernel {} wrong", kernel_of(&e).name());
+            if !e.demote_kernel() {
                 break;
             }
             demotions += 1;
         }
-        assert_eq!(e.kernel(), Cios52Kernel::Portable, "floor is portable");
+        assert_eq!(kernel_of(&e), Cios52Kernel::Portable, "floor is portable");
         assert_eq!(
             demotions + 1,
             Cios52Kernel::available().len(),
@@ -1144,7 +1091,7 @@ mod tests {
         // non-canonical < 2N representative must match exactly.
         let p = MontgomeryParams::new(&Ubig::from(13u64), 4);
         for &kernel in Cios52Kernel::available() {
-            let mut e = Cios52Batch::with_kernel(p.clone(), kernel);
+            let mut e = AnyBatchEngine::with_cios52_kernel(p.clone(), kernel);
             for x in 0u64..26 {
                 let xs: Vec<Ubig> = (0..26u64).map(Ubig::from).collect();
                 let xx: Vec<Ubig> = (0..26).map(|_| Ubig::from(x)).collect();
@@ -1179,7 +1126,7 @@ mod tests {
                 .map(|(x, y)| mont_mul_alg2(&p, x, y))
                 .collect();
             for &kernel in Cios52Kernel::available() {
-                let mut e = Cios52Batch::with_kernel(p.clone(), kernel);
+                let mut e = AnyBatchEngine::with_cios52_kernel(p.clone(), kernel);
                 let got = e.mont_mul_batch(&xs, &ys);
                 assert_eq!(got, want, "{} l={l}", kernel.name());
             }
@@ -1199,7 +1146,7 @@ mod tests {
             assert!(!p.is_hardware_safe(), "bits={bits}");
             let xs: Vec<Ubig> = (0..8).map(|_| random_operand(&mut rng, &p)).collect();
             for &kernel in Cios52Kernel::available() {
-                let mut e = Cios52Batch::with_kernel(p.clone(), kernel);
+                let mut e = AnyBatchEngine::with_cios52_kernel(p.clone(), kernel);
                 let got = e.mont_mul_batch(&xs, &xs);
                 for k in 0..8 {
                     assert_eq!(
@@ -1217,7 +1164,7 @@ mod tests {
     fn partial_batches_and_engine_reuse() {
         let mut rng = StdRng::seed_from_u64(704);
         let p = random_safe_params(&mut rng, 48);
-        let mut batch = Cios52Batch::new(p.clone());
+        let mut batch = EngineKind::Cios52.build(p.clone());
         for lanes in [1usize, 3, 63, 64] {
             let xs: Vec<Ubig> = (0..lanes).map(|_| random_operand(&mut rng, &p)).collect();
             let ys: Vec<Ubig> = (0..lanes).map(|_| random_operand(&mut rng, &p)).collect();
@@ -1240,7 +1187,7 @@ mod tests {
         let p = random_safe_params(&mut rng, 70);
         let xs: Vec<Ubig> = (0..16).map(|_| random_operand(&mut rng, &p)).collect();
         for &kernel in Cios52Kernel::available() {
-            let mut batch = Cios52Batch::with_kernel(p.clone(), kernel);
+            let mut batch = AnyBatchEngine::with_cios52_kernel(p.clone(), kernel);
             let mut a = batch.mont_mul_batch(&xs, &xs);
             let mut want: Vec<Ubig> = xs.iter().map(|x| mont_mul_alg2(&p, x, x)).collect();
             for round in 0..4 {
@@ -1260,7 +1207,7 @@ mod tests {
             let xs: Vec<Ubig> = (0..lanes).map(|_| random_operand(&mut rng, &p)).collect();
             let ys: Vec<Ubig> = (0..lanes).map(|_| random_operand(&mut rng, &p)).collect();
             for &kernel in Cios52Kernel::available() {
-                let mut e = Cios52Batch::with_kernel(p.clone(), kernel);
+                let mut e = AnyBatchEngine::with_cios52_kernel(p.clone(), kernel);
                 e.set_hardening(HardeningMode::Hardened);
                 let got = e.mont_mul_batch(&xs, &ys);
                 for k in 0..lanes {
@@ -1275,14 +1222,14 @@ mod tests {
     #[test]
     fn demotion_preserves_hardening() {
         let p = MontgomeryParams::new(&Ubig::from(13u64), 4);
-        let mut e = Cios52Batch::new(p);
+        let mut e = EngineKind::Cios52.build(p);
         e.set_hardening(HardeningMode::Hardened);
-        while e.demote() {
+        while e.demote_kernel() {
             assert_eq!(
                 e.hardening(),
                 HardeningMode::Hardened,
                 "demotion to {} dropped hardening",
-                e.kernel().name()
+                kernel_of(&e).name()
             );
         }
         assert_eq!(e.hardening(), HardeningMode::Hardened);
@@ -1295,7 +1242,7 @@ mod tests {
         let p = random_safe_params(&mut rng, 8);
         let xs: Vec<Ubig> = (0..65).map(|_| random_operand(&mut rng, &p)).collect();
         let ys = xs.clone();
-        let _ = Cios52Batch::new(p).mont_mul_batch(&xs, &ys);
+        let _ = EngineKind::Cios52.build(p).mont_mul_batch(&xs, &ys);
     }
 
     #[test]
@@ -1304,7 +1251,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(707);
         let p = random_safe_params(&mut rng, 8);
         let bad = p.two_n();
-        let _ = Cios52Batch::new(p.clone())
+        let _ = EngineKind::Cios52
+            .build(p.clone())
             .mont_mul_batch(std::slice::from_ref(&bad), std::slice::from_ref(&bad));
     }
 
@@ -1313,8 +1261,8 @@ mod tests {
         assert_eq!(Cios52Kernel::Portable.name(), "portable");
         assert_eq!(Cios52Kernel::Avx2.name(), "avx2");
         assert_eq!(Cios52Kernel::Ifma.name(), "ifma");
-        let mut e = Cios52Batch::new(MontgomeryParams::new(&Ubig::from(13u64), 4));
-        assert!(BatchMontMul::name(&e).contains(e.kernel().name()));
+        let mut e = EngineKind::Cios52.build(MontgomeryParams::new(&Ubig::from(13u64), 4));
+        assert!(BatchMontMul::name(&e).contains(kernel_of(&e).name()));
         assert!(BatchMontMul::name(&e).contains("radix-2^52"));
         let _ = e.mont_mul_batch(&[Ubig::one()], &[Ubig::one()]);
     }

@@ -1,38 +1,40 @@
 //! Backend dispatch: one [`EngineKind`] switch selecting which batch
 //! Montgomery multiplier runs under every pooled entry point
 //! (`try_mont_mul_many`, `try_modexp_many*`, the `mmm-rsa` and `mmm-ecc`
-//! sessions).
+//! sessions), and the one engine shell, [`AnyBatchEngine`], every
+//! backend runs in.
 //!
 //! Every backend implements the identical Algorithm-2 contract and
 //! produces **bit-identical** results lane for lane (asserted by
 //! `tests/radix_backend.rs`), so dispatch is purely a performance
-//! decision:
+//! decision. The backends differ only in the kernel inside the shell:
 //!
 //! * [`EngineKind::Cios`] — the radix-2⁶⁴ word-serial scan
-//!   ([`crate::cios::CiosBatch`]), the production default (~2·(l/64)²
-//!   u64 MACs per multiplication);
+//!   ([`crate::cios`]), the production default (~2·(l/64)² u64 MACs
+//!   per multiplication);
 //! * [`EngineKind::Cios52`] — the radix-2⁵² carry-save scan
-//!   ([`crate::cios52::Cios52Batch`]) with explicit AVX2 /
-//!   AVX-512-IFMA kernels selected at runtime
-//!   ([`Cios52Kernel::available`]) and a portable auto-vectorizing
-//!   fallback;
+//!   ([`crate::cios52`]) with explicit AVX2 / AVX-512-IFMA kernels
+//!   selected at runtime ([`Cios52Kernel::available`]) and a portable
+//!   auto-vectorizing fallback;
 //! * [`EngineKind::BitSliced`] — the bit-serial systolic-array
-//!   simulation ([`crate::batch::BitSlicedBatch`]), retained as the
-//!   cycle-accurate fidelity oracle and for wave-model experiments
-//!   (~l² single-bit cell updates per multiplication).
+//!   simulation ([`crate::batch`]), retained as the cycle-accurate
+//!   fidelity oracle and for wave-model experiments (~l² single-bit
+//!   cell updates per multiplication).
 //!
 //! The process-wide default is [`EngineKind::default_kind`]: CIOS,
 //! overridable once per process with `MMM_ENGINE=bitsliced`,
 //! `MMM_ENGINE=cios52` (or `MMM_ENGINE=cios`) — useful for A/B runs of
-//! the full serving path without touching call sites. Call-site
-//! selection uses the `*_with` variants of the entry points or
-//! [`EnginePool::checkout_kind`][crate::pool::EnginePool::checkout_kind].
+//! the full serving path without touching call sites. Call sites pick
+//! a backend with
+//! [`EngineConfig::with_backend`][crate::config::EngineConfig::with_backend]
+//! or [`EnginePool::checkout_kind`][crate::pool::EnginePool::checkout_kind].
 
-use crate::batch::BitSlicedBatch;
-use crate::cios::CiosBatch;
-use crate::cios52::{Cios52Batch, Cios52Kernel};
-use crate::config::EngineConfig;
-use crate::error::MmmError;
+use crate::batch::{BitSlicedDatapath, MAX_LANES};
+use crate::cios::CiosDatapath;
+use crate::cios52::{Cios52Datapath, Cios52Kernel};
+use crate::config::{EngineConfig, HardeningMode};
+use crate::cost::mmm_cycles;
+use crate::error::{validate_mont_batch, MmmError};
 use crate::montgomery::MontgomeryParams;
 use crate::traits::BatchMontMul;
 use mmm_bigint::Ubig;
@@ -84,7 +86,7 @@ impl EngineKind {
 
     /// The process-wide default backend: [`EngineKind::Cios`], unless
     /// the `MMM_ENGINE` environment variable selects otherwise
-    /// (`cios` / `bitsliced`). The environment is parsed **once** per
+    /// (`cios` / `cios52` / `bitsliced`). The environment is parsed **once** per
     /// process through [`EngineConfig::from_env`] — the single home of
     /// all `MMM_*` parsing — and the parse *result* is what gets
     /// cached, so an invalid environment produces the same clean panic
@@ -133,18 +135,21 @@ impl EngineKind {
         Ok(())
     }
 
-    /// Builds a fresh engine of this kind for `params`, rejecting a
-    /// bit-sliced request on hardware-unsafe parameters with
-    /// [`MmmError::HardwareUnsafeWidth`] (see
-    /// [`EngineKind::ensure_supports`]).
+    /// Builds a fresh engine of this kind for `params` (the radix-2⁵²
+    /// backend on the strongest kernel this host supports,
+    /// [`Cios52Kernel::active`]), rejecting a bit-sliced request on
+    /// hardware-unsafe parameters with [`MmmError::HardwareUnsafeWidth`]
+    /// (see [`EngineKind::ensure_supports`]).
     pub fn try_build(self, params: MontgomeryParams) -> Result<AnyBatchEngine, MmmError> {
-        match self {
-            EngineKind::Cios => Ok(AnyBatchEngine::Cios(CiosBatch::new(params))),
-            EngineKind::Cios52 => Ok(AnyBatchEngine::Cios52(Cios52Batch::new(params))),
-            EngineKind::BitSliced => {
-                Ok(AnyBatchEngine::BitSliced(BitSlicedBatch::try_new(params)?))
+        self.ensure_supports(&params)?;
+        let kernel = match self {
+            EngineKind::Cios => Kernel::Cios(CiosDatapath::new(&params)),
+            EngineKind::Cios52 => {
+                Kernel::Cios52(Cios52Datapath::new(&params, Cios52Kernel::active()))
             }
-        }
+            EngineKind::BitSliced => Kernel::BitSliced(BitSlicedDatapath::new(&params)),
+        };
+        Ok(AnyBatchEngine::new(params, kernel))
     }
 
     /// Builds a fresh engine of this kind for `params`.
@@ -177,112 +182,202 @@ impl FromStr for EngineKind {
     }
 }
 
-/// A batch engine of either backend behind one concrete type — what
-/// the per-key pool stores and hands out, so pooled call sites stay
-/// monomorphic while the backend varies at runtime.
+/// The batch engine: one shell around one of three kernels. Every
+/// backend shares the paper's MMMC contract (load X and Y, run, read
+/// T), so the shell does everything around the kernel exactly once —
+/// it owns the parameters, the hardening mode and the cycle counter,
+/// validates each batch, and drives the kernel's stages:
+///
+/// ```text
+/// validate → load (native layout) → run → [cond-sub if hardened] → store
+/// ```
+///
+/// The native layouts are bit planes (bit-sliced), 64-bit limb rows
+/// (CIOS) and 52-bit digit rows (CIOS-52). The pool stores and hands
+/// out this one concrete type, so pooled call sites stay monomorphic
+/// while the backend varies at runtime. Build engines with
+/// [`EngineKind::build`] / [`EngineKind::try_build`], or pin a
+/// radix-2⁵² kernel with [`AnyBatchEngine::with_cios52_kernel`].
 #[derive(Debug, Clone)]
-pub enum AnyBatchEngine {
-    /// Radix-2⁶⁴ CIOS backend.
-    Cios(CiosBatch),
-    /// Radix-2⁵² carry-save SIMD backend.
-    Cios52(Cios52Batch),
-    /// Bit-sliced systolic simulation backend.
-    BitSliced(BitSlicedBatch),
+pub struct AnyBatchEngine {
+    params: MontgomeryParams,
+    kernel: Kernel,
+    /// Constant-time mode: when hardened, every result is
+    /// canonicalized `< N` before it leaves the kernel's buffers.
+    hardening: HardeningMode,
+    /// Simulated clock cycles consumed since build or the last loan
+    /// reset — `Some` only for the cycle-accurate bit-sliced kernel.
+    cycles: Option<u64>,
 }
 
-impl AnyBatchEngine {
-    /// Which backend this engine is.
-    pub fn kind(&self) -> EngineKind {
+/// The kernel inside the shell: each variant owns its native buffers,
+/// transposition and canonicalizing subtraction. The stage methods
+/// below hold the only per-backend dispatch of the batch path.
+#[derive(Debug, Clone)]
+enum Kernel {
+    Cios(CiosDatapath),
+    Cios52(Cios52Datapath),
+    BitSliced(BitSlicedDatapath),
+}
+
+impl Kernel {
+    fn load(&mut self, xs: &[Ubig], ys: &[Ubig]) {
         match self {
-            AnyBatchEngine::Cios(_) => EngineKind::Cios,
-            AnyBatchEngine::Cios52(_) => EngineKind::Cios52,
-            AnyBatchEngine::BitSliced(_) => EngineKind::BitSliced,
+            Kernel::Cios(k) => k.load(xs, ys),
+            Kernel::Cios52(k) => k.load(xs, ys),
+            Kernel::BitSliced(k) => k.load(xs, ys),
         }
     }
 
-    /// Zeroes any per-loan observable state (the bit-sliced cycle
-    /// counter, the hardening mode); recycled engines must look
-    /// freshly built. In particular a hardened loan must not leak
-    /// canonicalized (`< N`) outputs into the next, unhardened
-    /// checkout — DESIGN.md §12.
-    pub fn reset_loan_state(&mut self) {
-        if let AnyBatchEngine::BitSliced(e) = self {
-            e.reset_cycle_counter();
+    fn run(&mut self) {
+        match self {
+            Kernel::Cios(k) => k.run(),
+            Kernel::Cios52(k) => k.run(),
+            Kernel::BitSliced(k) => k.run(),
         }
-        self.set_hardening(crate::config::HardeningMode::Off);
+    }
+
+    fn cond_sub(&mut self) {
+        match self {
+            Kernel::Cios(k) => k.cond_sub(),
+            Kernel::Cios52(k) => k.cond_sub(),
+            Kernel::BitSliced(k) => k.cond_sub(),
+        }
+    }
+
+    fn store(&self, lanes: usize, out: &mut Vec<Ubig>) {
+        match self {
+            Kernel::Cios(k) => k.store(lanes, out),
+            Kernel::Cios52(k) => k.store(lanes, out),
+            Kernel::BitSliced(k) => k.store(lanes, out),
+        }
+    }
+}
+
+impl AnyBatchEngine {
+    fn new(params: MontgomeryParams, kernel: Kernel) -> Self {
+        // The CIOS scans are software backends, not cycle-accurate.
+        let cycles = matches!(kernel, Kernel::BitSliced(_)).then_some(0);
+        AnyBatchEngine {
+            params,
+            kernel,
+            hardening: HardeningMode::Off,
+            cycles,
+        }
+    }
+
+    /// A radix-2⁵² engine pinned to `kernel` instead of the strongest
+    /// one this host supports — how the kernel sweeps cross-check every
+    /// available kernel against the oracle.
+    ///
+    /// # Panics
+    /// Panics if `kernel` is not in [`Cios52Kernel::available`] on
+    /// this host.
+    pub fn with_cios52_kernel(params: MontgomeryParams, kernel: Cios52Kernel) -> Self {
+        let datapath = Cios52Datapath::new(&params, kernel);
+        AnyBatchEngine::new(params, Kernel::Cios52(datapath))
+    }
+
+    /// Which backend this engine is.
+    pub fn kind(&self) -> EngineKind {
+        match self.kernel {
+            Kernel::Cios(_) => EngineKind::Cios,
+            Kernel::Cios52(_) => EngineKind::Cios52,
+            Kernel::BitSliced(_) => EngineKind::BitSliced,
+        }
+    }
+
+    /// The SIMD kernel a radix-2⁵² engine currently runs (it changes
+    /// on [`BatchMontMul::demote_kernel`]); `None` for the other
+    /// backends.
+    pub fn cios52_kernel(&self) -> Option<Cios52Kernel> {
+        match &self.kernel {
+            Kernel::Cios52(k) => Some(k.kernel()),
+            Kernel::Cios(_) | Kernel::BitSliced(_) => None,
+        }
+    }
+
+    /// Zeroes any per-loan observable state (the cycle counter, the
+    /// hardening mode); recycled engines must look freshly built. In
+    /// particular a hardened loan must not leak canonicalized (`< N`)
+    /// outputs into the next, unhardened checkout — DESIGN.md §12.
+    pub fn reset_loan_state(&mut self) {
+        if let Some(cycles) = &mut self.cycles {
+            *cycles = 0;
+        }
+        self.hardening = HardeningMode::Off;
+    }
+
+    /// The one batch pipeline every backend runs: validate, load into
+    /// the kernel's native layout, run, canonicalize when hardened,
+    /// store into `out` (recycling its limb buffers, so a warm call
+    /// performs zero heap allocations — `tests/alloc_free.rs`).
+    fn run_batch(&mut self, xs: &[Ubig], ys: &[Ubig], out: &mut Vec<Ubig>) -> Result<(), MmmError> {
+        validate_mont_batch(&self.params, MAX_LANES, xs, ys)?;
+        self.kernel.load(xs, ys);
+        self.kernel.run();
+        if self.hardening.is_hardened() {
+            self.kernel.cond_sub();
+        }
+        self.kernel.store(xs.len(), out);
+        if let Some(cycles) = &mut self.cycles {
+            *cycles += mmm_cycles(self.params.l());
+        }
+        Ok(())
     }
 }
 
 impl BatchMontMul for AnyBatchEngine {
     fn params(&self) -> &MontgomeryParams {
-        match self {
-            AnyBatchEngine::Cios(e) => e.params(),
-            AnyBatchEngine::Cios52(e) => e.params(),
-            AnyBatchEngine::BitSliced(e) => BatchMontMul::params(e),
-        }
+        &self.params
     }
 
     fn max_lanes(&self) -> usize {
-        match self {
-            AnyBatchEngine::Cios(e) => e.max_lanes(),
-            AnyBatchEngine::Cios52(e) => e.max_lanes(),
-            AnyBatchEngine::BitSliced(e) => e.max_lanes(),
-        }
+        MAX_LANES
     }
 
     fn mont_mul_batch(&mut self, xs: &[Ubig], ys: &[Ubig]) -> Vec<Ubig> {
-        match self {
-            AnyBatchEngine::Cios(e) => e.mont_mul_batch(xs, ys),
-            AnyBatchEngine::Cios52(e) => e.mont_mul_batch(xs, ys),
-            AnyBatchEngine::BitSliced(e) => e.mont_mul_batch(xs, ys),
-        }
+        let mut out = Vec::with_capacity(xs.len());
+        self.mont_mul_batch_into(xs, ys, &mut out);
+        out
+    }
+
+    fn try_mont_mul_batch(&mut self, xs: &[Ubig], ys: &[Ubig]) -> Result<Vec<Ubig>, MmmError> {
+        let mut out = Vec::with_capacity(xs.len());
+        self.run_batch(xs, ys, &mut out)?;
+        Ok(out)
     }
 
     fn mont_mul_batch_into(&mut self, xs: &[Ubig], ys: &[Ubig], out: &mut Vec<Ubig>) {
-        match self {
-            AnyBatchEngine::Cios(e) => BatchMontMul::mont_mul_batch_into(e, xs, ys, out),
-            AnyBatchEngine::Cios52(e) => BatchMontMul::mont_mul_batch_into(e, xs, ys, out),
-            AnyBatchEngine::BitSliced(e) => BatchMontMul::mont_mul_batch_into(e, xs, ys, out),
-        }
+        self.run_batch(xs, ys, out)
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 
     fn consumed_cycles(&self) -> Option<u64> {
-        match self {
-            // The CIOS scans are software backends, not cycle-accurate.
-            AnyBatchEngine::Cios(_) | AnyBatchEngine::Cios52(_) => None,
-            AnyBatchEngine::BitSliced(e) => e.consumed_cycles(),
-        }
+        self.cycles
     }
 
     fn demote_kernel(&mut self) -> bool {
-        match self {
-            // Only the radix-2⁵² backend has SIMD tiers to step down.
-            AnyBatchEngine::Cios52(e) => e.demote(),
-            AnyBatchEngine::Cios(_) | AnyBatchEngine::BitSliced(_) => false,
+        // Only the radix-2⁵² backend has SIMD tiers to step down.
+        match &mut self.kernel {
+            Kernel::Cios52(k) => k.demote(),
+            Kernel::Cios(_) | Kernel::BitSliced(_) => false,
         }
     }
 
-    fn set_hardening(&mut self, mode: crate::config::HardeningMode) {
-        match self {
-            AnyBatchEngine::Cios(e) => e.set_hardening(mode),
-            AnyBatchEngine::Cios52(e) => e.set_hardening(mode),
-            AnyBatchEngine::BitSliced(e) => e.set_hardening(mode),
-        }
+    fn set_hardening(&mut self, mode: HardeningMode) {
+        self.hardening = mode;
     }
 
-    fn hardening(&self) -> crate::config::HardeningMode {
-        match self {
-            AnyBatchEngine::Cios(e) => e.hardening(),
-            AnyBatchEngine::Cios52(e) => e.hardening(),
-            AnyBatchEngine::BitSliced(e) => e.hardening(),
-        }
+    fn hardening(&self) -> HardeningMode {
+        self.hardening
     }
 
     fn name(&self) -> &'static str {
-        match self {
-            AnyBatchEngine::Cios(e) => e.name(),
-            AnyBatchEngine::Cios52(e) => BatchMontMul::name(e),
-            AnyBatchEngine::BitSliced(e) => e.name(),
+        match &self.kernel {
+            Kernel::Cios(_) => "radix-2^64 CIOS batch (64 lanes)",
+            Kernel::Cios52(k) => k.name(),
+            Kernel::BitSliced(_) => "bit-sliced batch (64 lanes)",
         }
     }
 }

@@ -33,10 +33,10 @@
 //! (every step multiplies, digit-0 lanes by `1̄`), and every
 //! secret-indexed table read is replaced by a branchless **full-table
 //! sweep** — all `2^w` rows are loaded every time and masked-accumulated
-//! ([`mmm_bigint::ct::or_assign_masked`]) so the memory trace is
-//! digit-independent. Results stay bit-identical to the unhardened
-//! scan; the cost is the disabled skips plus the sweep (measured in
-//! `BENCH_radix.json`). Protocol-level blinding (`mmm-rsa`'s session
+//! ([`crate::scan::select_entry`], shared with the ECC scan) so the
+//! memory trace is digit-independent. Results stay bit-identical to
+//! the unhardened scan; the cost is the disabled skips plus the sweep
+//! (measured in `BENCH_radix.json`). Protocol-level blinding (`mmm-rsa`'s session
 //! decryption) layers on top for defense in depth.
 //!
 //! [`try_modexp_many`] extends the batch to arbitrarily many lanes by
@@ -48,33 +48,19 @@ use crate::config::{EngineConfig, WindowPolicy};
 use crate::error::{validate_reduced, MmmError};
 use crate::montgomery::MontgomeryParams;
 use crate::pool;
-use crate::scan::{best_fixed_window, run_windowed_scan, ScalarSet, WindowScanClient};
+use crate::scan::{
+    best_fixed_window, run_windowed_scan, select_entry, ScalarSet, WindowScanClient,
+};
 use crate::traits::BatchMontMul;
-use mmm_bigint::ct::{or_assign_masked, Choice};
 use mmm_bigint::limbs::Limb;
 use mmm_bigint::Ubig;
-
-/// Constant-time selection of `table[d][k]` into `buf`: zeroes the
-/// buffer, then visits **every** row of the batched power table,
-/// OR-accumulating `row[k] & mask` where the mask is all-ones only for
-/// the row whose (public) index equals the secret digit `d`. The loads
-/// performed — every row, every call — are independent of `d`, so the
-/// access pattern carries no digit information; `d` flows only through
-/// the branchless [`Choice::ct_eq_usize`] masks.
-fn ct_sweep_lane(table: &[Vec<Ubig>], k: usize, d: usize, buf: &mut [Limb]) {
-    buf.fill(0);
-    for (row_idx, row) in table.iter().enumerate() {
-        or_assign_masked(buf, row[k].limbs(), Choice::ct_eq_usize(row_idx, d));
-    }
-}
 
 /// The modexp workload plugged into the lifted scan core
 /// ([`crate::scan::run_windowed_scan`]): the accumulator is a batch of
 /// Montgomery residues, doubling is a batched squaring, combining is a
 /// multiply-always batched multiplication against the power table.
-/// Digit selection stays in here — direct table indexing when plain, a
-/// branchless full-table sweep ([`ct_sweep_lane`]) when hardened — so
-/// the schedule-neutral driver never sees how secrets read memory.
+/// Every table read goes through [`select_entry`] — direct indexing
+/// when plain, a branchless full-table sweep when hardened.
 struct ModexpScanClient<'e, E: BatchMontMul> {
     engine: &'e mut E,
     /// Batched power table: `table[d][k] = M̄_k^d` (empty for all-zero
@@ -92,26 +78,31 @@ struct ModexpScanClient<'e, E: BatchMontMul> {
     sel_buf: Vec<Limb>,
 }
 
+/// Lane `k` of `out` becomes `table[digits[k]][k]`.
+fn select_lanes(
+    table: &[Vec<Ubig>],
+    digits: &[usize],
+    hardened: bool,
+    buf: &mut [Limb],
+    out: &mut [Ubig],
+) {
+    for (k, (slot, &d)) in out.iter_mut().zip(digits).enumerate() {
+        select_entry(table.len(), |i| &table[i][k], d, hardened, buf, slot);
+    }
+}
+
 impl<E: BatchMontMul> WindowScanClient for ModexpScanClient<'_, E> {
     fn init(&mut self, digits: &[usize]) {
-        self.a = if self.table.is_empty() {
-            vec![self.one_bar.clone(); self.lanes]
-        } else if self.hardened {
-            digits
-                .iter()
-                .enumerate()
-                .map(|(k, &d)| {
-                    ct_sweep_lane(&self.table, k, d, &mut self.sel_buf);
-                    Ubig::from_limbs(self.sel_buf.clone())
-                })
-                .collect()
-        } else {
-            digits
-                .iter()
-                .enumerate()
-                .map(|(k, &d)| self.table[d][k].clone())
-                .collect()
-        };
+        self.a = vec![self.one_bar.clone(); self.lanes];
+        if !self.table.is_empty() {
+            select_lanes(
+                &self.table,
+                digits,
+                self.hardened,
+                &mut self.sel_buf,
+                &mut self.a,
+            );
+        }
     }
 
     fn double(&mut self) {
@@ -121,15 +112,13 @@ impl<E: BatchMontMul> WindowScanClient for ModexpScanClient<'_, E> {
     }
 
     fn combine(&mut self, digits: &[usize]) {
-        for (k, slot) in self.multiplier.iter_mut().enumerate() {
-            let d = digits[k];
-            if self.hardened {
-                ct_sweep_lane(&self.table, k, d, &mut self.sel_buf);
-                *slot = Ubig::from_limbs(self.sel_buf.clone());
-            } else {
-                slot.clone_from(&self.table[d][k]);
-            }
-        }
+        select_lanes(
+            &self.table,
+            digits,
+            self.hardened,
+            &mut self.sel_buf,
+            &mut self.multiplier,
+        );
         self.engine
             .mont_mul_batch_into(&self.a, &self.multiplier, &mut self.scratch);
         std::mem::swap(&mut self.a, &mut self.scratch);
@@ -400,7 +389,7 @@ pub fn try_modexp_many_shared(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{BitSlicedBatch, SequentialBatch};
+    use crate::batch::SequentialBatch;
     use crate::engine::EngineKind;
     use crate::expo::ModExp;
     use crate::modgen::random_safe_params;
@@ -448,7 +437,7 @@ mod tests {
                 }
             })
             .collect();
-        let mut me = BatchModExp::new(BitSlicedBatch::new(p.clone()));
+        let mut me = BatchModExp::new(EngineKind::BitSliced.build(p.clone()));
         assert_eq!(modexp(&mut me, &ms, &es, W1), modpows(&ms, &es, &n));
     }
 
@@ -460,7 +449,7 @@ mod tests {
             .map(|_| Ubig::random_below(&mut rng, p.n()))
             .collect();
         let es: Vec<Ubig> = (0..8).map(|_| Ubig::random_bits(&mut rng, 32)).collect();
-        let mut batch = BatchModExp::new(BitSlicedBatch::new(p.clone()));
+        let mut batch = BatchModExp::new(EngineKind::BitSliced.build(p.clone()));
         let got = modexp(&mut batch, &ms, &es, W1);
         for k in 0..8 {
             let mut solo = ModExp::new(PackedMmmc::new(p.clone()));
@@ -515,7 +504,7 @@ mod tests {
         let ms = vec![Ubig::from(7u64), Ubig::from(11u64)];
         // Lane 0: e = 0b101 (3 bits); lane 1: e = 0b1 (1 bit).
         let es = vec![Ubig::from(0b101u64), Ubig::from(1u64)];
-        let mut me = BatchModExp::new(BitSlicedBatch::new(p.clone()));
+        let mut me = BatchModExp::new(EngineKind::BitSliced.build(p.clone()));
         assert_eq!(modexp(&mut me, &ms, &es, W1), modpows(&ms, &es, p.n()));
         let s = me.stats();
         // Bit 2 is the table lookup; bits 1 and 0 cost a squaring
@@ -541,7 +530,7 @@ mod tests {
         let p = random_safe_params(&mut rng, 12);
         let ms = vec![Ubig::from(5u64), Ubig::zero()];
         let es = vec![Ubig::zero(), Ubig::zero()];
-        let mut me = BatchModExp::new(BitSlicedBatch::new(p.clone()));
+        let mut me = BatchModExp::new(EngineKind::BitSliced.build(p.clone()));
         assert_eq!(
             modexp(&mut me, &ms, &es, W1),
             vec![Ubig::one(), Ubig::one()]
@@ -587,8 +576,8 @@ mod tests {
                 .into_iter()
                 .chain([WindowPolicy::Auto])
             {
-                let mut shared = BatchModExp::new(BitSlicedBatch::new(p.clone()));
-                let mut cloned = BatchModExp::new(BitSlicedBatch::new(p.clone()));
+                let mut shared = BatchModExp::new(EngineKind::BitSliced.build(p.clone()));
+                let mut cloned = BatchModExp::new(EngineKind::BitSliced.build(p.clone()));
                 assert_eq!(
                     shared.try_modexp(&ms, ScalarSet::Shared(&e), window),
                     cloned.try_modexp(&ms, ScalarSet::PerLane(&es), window),
@@ -634,7 +623,7 @@ mod tests {
             .collect();
         let want = modpows(&ms, &es, &n);
         for w in 1..=6 {
-            let mut me = BatchModExp::new(BitSlicedBatch::new(p.clone()));
+            let mut me = BatchModExp::new(EngineKind::BitSliced.build(p.clone()));
             assert_eq!(
                 modexp(&mut me, &ms, &es, WindowPolicy::Fixed(w)),
                 want,
@@ -653,7 +642,7 @@ mod tests {
         let es: Vec<Ubig> = (0..7).map(|_| Ubig::random_bits(&mut rng, 40)).collect();
         let want = modpows(&ms, &es, p.n());
         for window in [W1, WindowPolicy::Fixed(4), WindowPolicy::Auto] {
-            let mut me = BatchModExp::new(BitSlicedBatch::new(p.clone()));
+            let mut me = BatchModExp::new(EngineKind::BitSliced.build(p.clone()));
             assert_eq!(modexp(&mut me, &ms, &es, window), want, "{window:?}");
         }
     }
@@ -686,7 +675,7 @@ mod tests {
             .collect();
         es[0].set_bit(127, true); // pin the batch's top bit
         let w = 4;
-        let mut me = BatchModExp::new(BitSlicedBatch::new(p.clone()));
+        let mut me = BatchModExp::new(EngineKind::BitSliced.build(p.clone()));
         let _ = modexp(&mut me, &ms, &es, WindowPolicy::Fixed(w));
         let s = me.stats();
         // Internal consistency: the total is the sum of its parts
@@ -711,7 +700,7 @@ mod tests {
         let p = random_safe_params(&mut rng, 12);
         let ms = vec![Ubig::from(5u64), Ubig::zero()];
         let es = vec![Ubig::zero(), Ubig::zero()];
-        let mut me = BatchModExp::new(BitSlicedBatch::new(p.clone()));
+        let mut me = BatchModExp::new(EngineKind::BitSliced.build(p.clone()));
         assert_eq!(
             modexp(&mut me, &ms, &es, WindowPolicy::Fixed(5)),
             vec![Ubig::one(), Ubig::one()]
@@ -811,7 +800,7 @@ mod tests {
             .map(|_| Ubig::random_below(&mut rng, p.n()))
             .collect();
         let e = Ubig::random_bits(&mut rng, 40);
-        let mut hard_engine = BitSlicedBatch::new(p.clone());
+        let mut hard_engine = EngineKind::BitSliced.build(p.clone());
         hard_engine.set_hardening(HardeningMode::Hardened);
         let mut hard = BatchModExp::new(hard_engine);
         let got = hard.modexp_batch_shared_auto(&ms, &e);
@@ -825,7 +814,7 @@ mod tests {
     fn windowed_rejects_bad_width() {
         let mut rng = StdRng::seed_from_u64(316);
         let p = random_safe_params(&mut rng, 8);
-        let mut me = BatchModExp::new(BitSlicedBatch::new(p.clone()));
+        let mut me = BatchModExp::new(EngineKind::BitSliced.build(p.clone()));
         let _ = modexp(
             &mut me,
             &[Ubig::one()],
@@ -840,7 +829,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(307);
         let p = random_safe_params(&mut rng, 8);
         let m = p.n().clone();
-        let mut me = BatchModExp::new(BitSlicedBatch::new(p.clone()));
+        let mut me = BatchModExp::new(EngineKind::BitSliced.build(p.clone()));
         let _ = modexp(&mut me, &[m], &[Ubig::from(2u64)], W1);
     }
 }

@@ -95,9 +95,8 @@ pub mod verify;
 pub mod wave;
 pub mod wave_packed;
 
-pub use batch::BitSlicedBatch;
-pub use cios::{CiosBatch, CiosMont};
-pub use cios52::{Cios52Batch, Cios52Kernel};
+pub use cios::CiosMont;
+pub use cios52::Cios52Kernel;
 pub use config::{EngineConfig, HardeningMode, WindowPolicy};
 pub use engine::{AnyBatchEngine, EngineKind};
 pub use error::{MmmError, OperandBound};

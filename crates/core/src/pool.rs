@@ -15,14 +15,12 @@
 //! * [`EnginePool::params_for`] caches hardware-safe parameters per
 //!   modulus (constants included, since `MontgomeryParams`
 //!   precomputes them at construction);
-//! * [`EnginePool::checkout`] hands out a warm engine of the
-//!   process-default backend ([`EngineKind::default_kind`], CIOS) for
-//!   the parameters — [`EnginePool::checkout_kind`] selects a backend
-//!   explicitly — building one only when every pooled engine of that
-//!   kind for that key is already on loan. The returned
-//!   [`PooledEngine`] implements [`BatchMontMul`] and parks its engine
-//!   back in the pool on drop, so rayon workers naturally recycle
-//!   engines across shards and calls.
+//! * [`EnginePool::checkout_kind`] hands out a warm engine of the
+//!   requested backend for the parameters, building one only when
+//!   every pooled engine of that kind for that key is already on
+//!   loan. The returned [`PooledEngine`] implements [`BatchMontMul`]
+//!   and parks its engine back in the pool on drop, so rayon workers
+//!   naturally recycle engines across shards and calls.
 //!
 //! ## Bounded LRU eviction
 //!
@@ -262,14 +260,6 @@ impl EnginePool {
         self.entry_with(n, l, || MontgomeryParams::new(n, l))
             .params
             .clone()
-    }
-
-    /// Checks out a warm engine of the **process-default backend**
-    /// ([`EngineKind::default_kind`], CIOS unless `MMM_ENGINE`
-    /// overrides) for `params`. The engine returns to the pool when
-    /// the guard drops.
-    pub fn checkout(&self, params: &MontgomeryParams) -> PooledEngine {
-        self.checkout_kind(params, EngineKind::default_kind())
     }
 
     /// Fallible [`EnginePool::checkout_kind`]: rejects a bit-sliced
@@ -567,15 +557,15 @@ mod tests {
         let pool = EnginePool::new();
         let p = random_safe_params(&mut rng, 24);
         {
-            let _a = pool.checkout(&p);
-            let _b = pool.checkout(&p);
+            let _a = pool.checkout_kind(&p, EngineKind::default_kind());
+            let _b = pool.checkout_kind(&p, EngineKind::default_kind());
             let s = pool.stats();
             assert_eq!(s.engine_builds, 2, "both on loan: two builds");
             assert_eq!(s.engine_reuses, 0);
         }
         // Both returned; the next two checkouts must be warm.
-        let _c = pool.checkout(&p);
-        let _d = pool.checkout(&p);
+        let _c = pool.checkout_kind(&p, EngineKind::default_kind());
+        let _d = pool.checkout_kind(&p, EngineKind::default_kind());
         let s = pool.stats();
         assert_eq!(s.engine_builds, 2);
         assert_eq!(s.engine_reuses, 2);
@@ -587,7 +577,7 @@ mod tests {
         let before = global_stats().expect("clean environment");
         let mut rng = StdRng::seed_from_u64(409);
         let p = random_safe_params(&mut rng, 16);
-        drop(global().checkout(&p));
+        drop(global().checkout_kind(&p, EngineKind::default_kind()));
         let after = global_stats().expect("clean environment");
         assert!(
             after.engine_builds + after.engine_reuses > before.engine_builds + before.engine_reuses,
@@ -623,10 +613,10 @@ mod tests {
         let pool = EnginePool::new();
         let p = random_safe_params(&mut rng, 20);
         {
-            // The plain checkout must honor the process default — CIOS
+            // A checkout of the process default must honor it — CIOS
             // unless the developer is running the documented
             // `MMM_ENGINE=bitsliced` A/B workflow.
-            let a = pool.checkout(&p);
+            let a = pool.checkout_kind(&p, EngineKind::default_kind());
             assert_eq!(a.kind(), EngineKind::default_kind());
         }
         {
@@ -657,7 +647,7 @@ mod tests {
         for round in 0..4 {
             let xs: Vec<Ubig> = (0..5).map(|_| random_operand(&mut rng, &p)).collect();
             let ys: Vec<Ubig> = (0..5).map(|_| random_operand(&mut rng, &p)).collect();
-            let mut engine = pool.checkout(&p);
+            let mut engine = pool.checkout_kind(&p, EngineKind::default_kind());
             let got = engine.mont_mul_batch(&xs, &ys);
             for k in 0..5 {
                 assert_eq!(got[k], mont_mul_alg2(&p, &xs[k], &ys[k]), "round {round}");
@@ -734,8 +724,8 @@ mod tests {
         let n = Ubig::from(101u64);
         let narrow = MontgomeryParams::new(&n, 8);
         let wide = MontgomeryParams::new(&n, 10);
-        let _a = pool.checkout(&narrow);
-        let _b = pool.checkout(&wide);
+        let _a = pool.checkout_kind(&narrow, EngineKind::default_kind());
+        let _b = pool.checkout_kind(&wide, EngineKind::default_kind());
         assert_eq!(pool.stats().key_misses, 2, "width is part of the key");
     }
 
@@ -744,9 +734,9 @@ mod tests {
         let pool = EnginePool::new();
         let n = Ubig::from(1009u64);
         let p = MontgomeryParams::hardware_safe(&n);
-        drop(pool.checkout(&p));
+        drop(pool.checkout_kind(&p, EngineKind::default_kind()));
         pool.clear();
-        drop(pool.checkout(&p));
+        drop(pool.checkout_kind(&p, EngineKind::default_kind()));
         assert_eq!(pool.stats().engine_builds, 2, "cleared pool rebuilds");
     }
 
@@ -760,7 +750,7 @@ mod tests {
         for round in 0..5 {
             for p in &ps {
                 let xs: Vec<Ubig> = (0..3).map(|_| random_operand(&mut rng, p)).collect();
-                let mut e = pool.checkout(p);
+                let mut e = pool.checkout_kind(p, EngineKind::default_kind());
                 let got = e.mont_mul_batch(&xs, &xs);
                 for k in 0..3 {
                     assert_eq!(got[k], mont_mul_alg2(p, &xs[k], &xs[k]), "round {round}");
@@ -780,22 +770,22 @@ mod tests {
         let a = random_safe_params(&mut rng, 16);
         let b = random_safe_params(&mut rng, 17);
         let c = random_safe_params(&mut rng, 18);
-        drop(pool.checkout(&a));
-        drop(pool.checkout(&b));
+        drop(pool.checkout_kind(&a, EngineKind::default_kind()));
+        drop(pool.checkout_kind(&b, EngineKind::default_kind()));
         // Touch `a` so `b` is the LRU entry when `c` arrives.
-        drop(pool.checkout(&a));
-        drop(pool.checkout(&c));
+        drop(pool.checkout_kind(&a, EngineKind::default_kind()));
+        drop(pool.checkout_kind(&c, EngineKind::default_kind()));
         let s = pool.stats();
         assert_eq!(s.evictions, 1, "b evicted to admit c");
         // a and c are still warm…
-        drop(pool.checkout(&a));
-        drop(pool.checkout(&c));
+        drop(pool.checkout_kind(&a, EngineKind::default_kind()));
+        drop(pool.checkout_kind(&c, EngineKind::default_kind()));
         let s2 = pool.stats();
         assert_eq!(s2.engine_reuses, 3, "a twice, c once");
         assert_eq!(s2.key_misses, 3, "no rebuild for retained keys");
         // …and the evicted key rebuilds from scratch, correctly.
         let xs: Vec<Ubig> = (0..2).map(|_| random_operand(&mut rng, &b)).collect();
-        let mut e = pool.checkout(&b);
+        let mut e = pool.checkout_kind(&b, EngineKind::default_kind());
         let got = e.mont_mul_batch(&xs, &xs);
         assert_eq!(got[0], mont_mul_alg2(&b, &xs[0], &xs[0]));
         let s3 = pool.stats();
@@ -812,7 +802,7 @@ mod tests {
         for i in 0..20 {
             let p = random_safe_params(&mut rng, 16 + (i % 7));
             let xs = vec![random_operand(&mut rng, &p)];
-            let mut e = pool.checkout(&p);
+            let mut e = pool.checkout_kind(&p, EngineKind::default_kind());
             let got = e.mont_mul_batch(&xs, &xs);
             assert_eq!(got[0], mont_mul_alg2(&p, &xs[0], &xs[0]), "key {i}");
         }
@@ -838,7 +828,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(409);
         let pool = Arc::new(EnginePool::new());
         let p = random_safe_params(&mut rng, 20);
-        drop(pool.checkout(&p)); // park one engine so idle lists exist
+        drop(pool.checkout_kind(&p, EngineKind::default_kind())); // park one engine so idle lists exist
         let poisoner = Arc::clone(&pool);
         let pp = p.clone();
         let _ = std::thread::spawn(move || {
@@ -856,14 +846,14 @@ mod tests {
         // The pool still serves checkouts, reuses the parked engine,
         // and computes correctly.
         let xs: Vec<Ubig> = (0..3).map(|_| random_operand(&mut rng, &pp)).collect();
-        let mut e = pool.checkout(&pp);
+        let mut e = pool.checkout_kind(&pp, EngineKind::default_kind());
         let got = e.mont_mul_batch(&xs, &xs);
         for k in 0..3 {
             assert_eq!(got[k], mont_mul_alg2(&pp, &xs[k], &xs[k]));
         }
         drop(e);
         pool.clear();
-        drop(pool.checkout(&pp));
+        drop(pool.checkout_kind(&pp, EngineKind::default_kind()));
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! lifted out so **any** group operation can drive it.
 //!
 //! The scan is generic over the group: it never touches a Montgomery
-//! engine, a power table, or a point table. It only decides *when* the
-//! group operations run — which is exactly the part that must be
-//! shared for "one array, many workloads" to hold:
+//! engine, a power table, or a point table. It decides *when* the
+//! group operations run, and *how* a secret digit may read a table —
+//! exactly the parts that must be shared for "one array, many
+//! workloads" to hold:
 //!
 //! * [`ScalarSet`] — the scalars driving the lanes, per-lane or shared
 //!   (one key, many requests), with window-digit extraction;
@@ -17,7 +18,10 @@
 //!   `⌈t/w⌉` windows, the top one a pure table lookup, each further
 //!   one `w` doubles plus one combine, skipped when every lane's digit
 //!   is zero — unless `never_skip` (the hardened mode contract) forces
-//!   the combine on every window.
+//!   the combine on every window;
+//! * [`select_entry`] — the one secret-digit table reader: a direct
+//!   index when plain, a masked full-table sweep when hardened, so
+//!   every client's memory trace is digit-independent under hardening.
 //!
 //! The cost model lives here too, in group-operation counts
 //! ([`fixed_window_schedule`]) with a weighted argmin
@@ -33,6 +37,8 @@
 //! from the top bit, with the top bit a table lookup instead of a
 //! squaring of the Montgomery one.
 
+use mmm_bigint::ct::{or_assign_masked, Choice};
+use mmm_bigint::limbs::Limb;
 use mmm_bigint::Ubig;
 
 /// The scalars of one batched scan: either one scalar per lane or a
@@ -80,8 +86,10 @@ impl ScalarSet<'_> {
 /// hooks the driver schedules. The client owns the accumulator and the
 /// precomputed table (powers for modexp, point multiples for ECC); the
 /// driver only tells it when to act and which (secret) digits select
-/// table entries — *how* the selection reads memory (direct index or
-/// constant-time full-table sweep) stays the client's business.
+/// table entries. Clients read the table through [`select_entry`] —
+/// the one secret-digit table reader, a direct index when unhardened
+/// and a constant-time full-table sweep when hardened — so no client
+/// indexes memory by a secret digit itself.
 pub trait WindowScanClient {
     /// Initializes the accumulator from the **top** window's digits:
     /// lane `k` becomes its table entry for `digits[k]` (digit 0 is
@@ -100,6 +108,38 @@ pub trait WindowScanClient {
     /// table entry for `digits[k]` (digit-0 lanes absorb the identity,
     /// keeping the lockstep schedule uniform).
     fn combine(&mut self, digits: &[usize]);
+}
+
+/// Reads the table entry a secret window digit `d` selects into `out`
+/// — the one secret-digit table reader every scan client shares.
+/// `entry(i)` is the candidate for digit value `i`, for
+/// `i in 0..entries`.
+///
+/// Unhardened, this is a direct index: `out` becomes a copy of
+/// `entry(d)`. Hardened, it is a branchless **full-table sweep**: `buf`
+/// is zeroed, then every entry is loaded and OR-accumulated under a
+/// mask that is all-ones only where `i == d`
+/// ([`Choice::ct_eq_usize`]), so the loads performed are the same for
+/// every digit and `d` flows only through the masks. `buf` must be at
+/// least as wide as every entry (the modulus' limb count plus one
+/// covers the `< 2N` band).
+pub fn select_entry<'t>(
+    entries: usize,
+    entry: impl Fn(usize) -> &'t Ubig,
+    d: usize,
+    hardened: bool,
+    buf: &mut [Limb],
+    out: &mut Ubig,
+) {
+    if hardened {
+        buf.fill(0);
+        for i in 0..entries {
+            or_assign_masked(buf, entry(i).limbs(), Choice::ct_eq_usize(i, d));
+        }
+        *out = Ubig::from_limbs(buf.to_vec());
+    } else {
+        out.clone_from(entry(d));
+    }
 }
 
 /// The schedule actually executed by one [`run_windowed_scan`].
@@ -423,6 +463,22 @@ mod tests {
         // Degenerate exponents stay sane.
         assert_eq!(expected_fixed_window_muls(0, 3), 2.0);
         assert!(best_fixed_window(1) >= 1);
+    }
+
+    #[test]
+    fn hardened_selection_matches_direct_index() {
+        let table: Vec<Ubig> = [0u64, 7, 1 << 40, u64::MAX]
+            .iter()
+            .map(|&v| Ubig::from(v).shl_bits(3))
+            .collect();
+        let mut buf = vec![0 as Limb; 3];
+        for d in 0..table.len() {
+            for hardened in [false, true] {
+                let mut out = Ubig::from(99u64);
+                select_entry(table.len(), |i| &table[i], d, hardened, &mut buf, &mut out);
+                assert_eq!(out, table[d], "d={d} hardened={hardened}");
+            }
+        }
     }
 
     #[test]

@@ -31,9 +31,12 @@
 use crate::batch_field::BatchFieldCtx;
 use crate::curve::Point;
 use crate::field::Fe;
+use mmm_bigint::limbs::Limb;
 use mmm_bigint::Ubig;
 use mmm_core::error::MmmError;
-use mmm_core::scan::{best_fixed_window_weighted, run_windowed_scan, ScalarSet, WindowScanClient};
+use mmm_core::scan::{
+    best_fixed_window_weighted, run_windowed_scan, select_entry, ScalarSet, WindowScanClient,
+};
 use mmm_core::traits::BatchMontMul;
 
 /// Engine calls per batched point doubling (2M + 8S).
@@ -469,6 +472,7 @@ impl BatchCurve {
             }
             table
         };
+        let sel_buf = vec![0; f.params().n().limbs().len() + 1];
         let mut client = PointScanClient {
             curve: self,
             f,
@@ -476,6 +480,8 @@ impl BatchCurve {
             acc: None,
             gather: None,
             lanes,
+            hardened,
+            sel_buf,
         };
         run_windowed_scan(&mut client, lanes, ks, window, hardened);
         let acc = client.acc.take();
@@ -515,7 +521,9 @@ impl BatchCurve {
 /// gathers each lane's table entry by its window digit and performs
 /// one batched addition. Digit 0 gathers the identity, which the
 /// patched add turns into a copy — the point analogue of multiplying
-/// by 1̄.
+/// by 1̄. Every table read goes through [`select_entry`], once per
+/// coordinate, so hardened sessions sweep the full table exactly like
+/// the modexp scan.
 struct PointScanClient<'c, 'f, E: BatchMontMul> {
     curve: &'c BatchCurve,
     f: &'f mut BatchFieldCtx<E>,
@@ -523,16 +531,26 @@ struct PointScanClient<'c, 'f, E: BatchMontMul> {
     acc: Option<PointLanes>,
     gather: Option<PointLanes>,
     lanes: usize,
+    hardened: bool,
+    sel_buf: Vec<Limb>,
 }
 
 impl<E: BatchMontMul> PointScanClient<'_, '_, E> {
+    /// Lane `k` of the returned batch is `table[digits[k]]`'s lane `k`
+    /// (reusing the previous gather's buffers when there is one).
     fn gather_digits(&mut self, digits: &[usize]) -> PointLanes {
         let mut g = self
             .gather
             .take()
             .unwrap_or_else(|| self.curve.identity(self.f, self.lanes));
+        let (table, hardened, buf) = (&self.table, self.hardened, &mut self.sel_buf);
         for (k, &d) in digits.iter().enumerate() {
-            g.set_lane(k, &self.table[d].lane(k));
+            let mut select = |coord: fn(&PointLanes) -> &[Fe], out: &mut Fe| {
+                select_entry(table.len(), |i| &coord(&table[i])[k], d, hardened, buf, out)
+            };
+            select(|p| &p.x, &mut g.x[k]);
+            select(|p| &p.y, &mut g.y[k]);
+            select(|p| &p.z, &mut g.z[k]);
         }
         g
     }
@@ -545,11 +563,7 @@ impl<E: BatchMontMul> WindowScanClient for PointScanClient<'_, '_, E> {
             self.acc = Some(self.curve.identity(self.f, self.lanes));
             return;
         }
-        let mut acc = self.curve.identity(self.f, self.lanes);
-        for (k, &d) in digits.iter().enumerate() {
-            acc.set_lane(k, &self.table[d].lane(k));
-        }
-        self.acc = Some(acc);
+        self.acc = Some(self.gather_digits(digits));
     }
 
     fn double(&mut self) {

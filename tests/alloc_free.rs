@@ -3,7 +3,9 @@
 //! after two warm-up batches (which size the lane state and the
 //! reusable output buffers) further `mont_mul_batch_into` calls must
 //! perform **zero** heap operations — on the bit-sliced engine, the
-//! radix-2⁶⁴ CIOS engine, and the radix-2⁵² carry-save engine alike.
+//! radix-2⁶⁴ CIOS engine, and the radix-2⁵² carry-save engine alike,
+//! each built through `EngineKind` and run by the one engine shell
+//! (validation, hardening check and cycle count included).
 //!
 //! Runs with `harness = false` (see the `[[test]]` entry in
 //! `Cargo.toml`): the libtest harness keeps its main thread alive
@@ -13,11 +15,9 @@
 //! heap during a measurement window is the one being measured.
 
 use montgomery_systolic::bigint::Ubig;
-use montgomery_systolic::core::batch::BitSlicedBatch;
-use montgomery_systolic::core::cios::CiosBatch;
-use montgomery_systolic::core::cios52::Cios52Batch;
 use montgomery_systolic::core::modgen::{random_operand, random_safe_params};
 use montgomery_systolic::core::montgomery::mont_mul_alg2;
+use montgomery_systolic::core::{BatchMontMul, EngineKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -62,7 +62,7 @@ fn warm_batch_multiplication_does_not_allocate() {
     let xs: Vec<Ubig> = (0..64).map(|_| random_operand(&mut rng, &params)).collect();
     let ys: Vec<Ubig> = (0..64).map(|_| random_operand(&mut rng, &params)).collect();
 
-    let mut engine = BitSlicedBatch::new(params.clone());
+    let mut engine = EngineKind::BitSliced.build(params.clone());
     let mut a: Vec<Ubig> = Vec::new();
     let mut b: Vec<Ubig> = Vec::new();
 
@@ -103,7 +103,7 @@ fn warm_batch_multiplication_does_not_allocate() {
     // operand/accumulator buffers live in the engine and the output
     // lanes recycle their limb capacity, so the warm word-level path
     // must not touch the heap either.
-    let mut cios = CiosBatch::new(params.clone());
+    let mut cios = EngineKind::Cios.build(params.clone());
     let mut ca: Vec<Ubig> = Vec::new();
     let mut cb: Vec<Ubig> = Vec::new();
     cios.mont_mul_batch_into(&xs, &ys, &mut ca);
@@ -129,7 +129,7 @@ fn warm_batch_multiplication_does_not_allocate() {
     // path must be heap-free too. Note Cios52Kernel::available() has
     // already been forced by construction, so the OnceLock init (one
     // Vec) happens before the measurement window.
-    let mut c52 = Cios52Batch::new(params.clone());
+    let mut c52 = EngineKind::Cios52.build(params.clone());
     let mut fa: Vec<Ubig> = Vec::new();
     let mut fb: Vec<Ubig> = Vec::new();
     c52.mont_mul_batch_into(&xs, &ys, &mut fa);

@@ -4,8 +4,7 @@
 //! to the scalar Algorithm-2 or `modpow` oracle — on every backend.
 
 use montgomery_systolic::bigint::Ubig;
-use montgomery_systolic::core::batch::{try_mont_mul_many, BitSlicedBatch};
-use montgomery_systolic::core::cios::CiosBatch;
+use montgomery_systolic::core::batch::try_mont_mul_many;
 use montgomery_systolic::core::config::{EngineConfig, WindowPolicy};
 use montgomery_systolic::core::error::{MmmError, OperandBound};
 use montgomery_systolic::core::expo_batch::{try_modexp_many, try_modexp_many_shared, BatchModExp};
@@ -120,23 +119,52 @@ fn length_mismatch_and_empty_batch() {
     let mut rng = StdRng::seed_from_u64(503);
     let params = random_safe_params(&mut rng, 16);
     let xs: Vec<Ubig> = (0..3).map(|_| random_operand(&mut rng, &params)).collect();
-    let mut engine = BitSlicedBatch::new(params.clone());
-    assert_eq!(
-        engine.try_mont_mul_batch(&xs, &xs[..2]).unwrap_err(),
-        MmmError::LengthMismatch { left: 3, right: 2 }
-    );
-    assert_eq!(
-        engine.try_mont_mul_batch(&[], &[]).unwrap_err(),
-        MmmError::EmptyBatch
-    );
-    let mut cios = CiosBatch::new(params.clone());
-    let mut out = Vec::new();
-    assert_eq!(
-        cios.try_mont_mul_batch_into(&[], &[], &mut out)
-            .unwrap_err(),
-        MmmError::EmptyBatch
-    );
-    let mut me = BatchModExp::new(CiosBatch::new(params.clone()));
+    // One validation site covers every backend: the engine shell.
+    let wide: Vec<Ubig> = (0..65).map(|_| random_operand(&mut rng, &params)).collect();
+    let mut bad = xs.clone();
+    bad[2] = params.two_n();
+    for kind in EngineKind::ALL {
+        let mut engine = kind.build(params.clone());
+        assert_eq!(
+            engine.try_mont_mul_batch(&xs, &xs[..2]).unwrap_err(),
+            MmmError::LengthMismatch { left: 3, right: 2 },
+            "{}",
+            kind.name()
+        );
+        assert_eq!(
+            engine.try_mont_mul_batch(&[], &[]).unwrap_err(),
+            MmmError::EmptyBatch,
+            "{}",
+            kind.name()
+        );
+        assert_eq!(
+            engine.try_mont_mul_batch(&wide, &wide).unwrap_err(),
+            MmmError::BatchTooWide {
+                lanes: 65,
+                max_lanes: 64
+            },
+            "{}",
+            kind.name()
+        );
+        assert_eq!(
+            engine.try_mont_mul_batch(&xs, &bad).unwrap_err(),
+            MmmError::OperandOutOfRange {
+                lane: 2,
+                bound: OperandBound::TwoN
+            },
+            "{}",
+            kind.name()
+        );
+        // A rejected batch leaves the engine usable.
+        let want: Vec<Ubig> = xs.iter().map(|x| mont_mul_alg2(&params, x, x)).collect();
+        assert_eq!(
+            engine.try_mont_mul_batch(&xs, &xs),
+            Ok(want),
+            "{}",
+            kind.name()
+        );
+    }
+    let mut me = BatchModExp::new(EngineKind::Cios.build(params.clone()));
     let w1 = WindowPolicy::Fixed(1);
     assert_eq!(
         me.try_modexp(&[], ScalarSet::PerLane(&[]), w1).unwrap_err(),
@@ -174,7 +202,7 @@ fn bitsliced_checkout_on_hardware_unsafe_params_is_rejected() {
         Err(MmmError::HardwareUnsafeWidth { l: 8 })
     ));
     assert!(matches!(
-        BitSlicedBatch::try_new(params.clone()),
+        EngineKind::BitSliced.try_build(params.clone()),
         Err(MmmError::HardwareUnsafeWidth { l: 8 })
     ));
     let ms = vec![Ubig::from(5u64)];

@@ -8,11 +8,13 @@
 //! lane.
 
 use montgomery_systolic::bigint::Ubig;
-use montgomery_systolic::core::batch::{try_mont_mul_many, BitSlicedBatch, SequentialBatch};
+use montgomery_systolic::core::batch::{try_mont_mul_many, SequentialBatch};
 use montgomery_systolic::core::expo_batch::BatchModExp;
 use montgomery_systolic::core::modgen::random_safe_params;
 use montgomery_systolic::core::wave_packed::PackedMmmc;
-use montgomery_systolic::core::{BatchMontMul, EngineConfig, MontMul, ScalarSet, WindowPolicy};
+use montgomery_systolic::core::{
+    BatchMontMul, EngineConfig, EngineKind, MontMul, ScalarSet, WindowPolicy,
+};
 use montgomery_systolic::rsa::{decrypt_crt, KeyedSession, RsaKeyPair};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -39,7 +41,7 @@ proptest! {
             .map(|_| montgomery_systolic::core::modgen::random_operand(&mut rng, &params))
             .collect();
 
-        let mut batch = BitSlicedBatch::new(params.clone());
+        let mut batch = EngineKind::BitSliced.build(params.clone());
         let got = batch.mont_mul_batch(&xs, &ys);
 
         let mut solo = PackedMmmc::new(params.clone());
@@ -92,7 +94,7 @@ proptest! {
         let es: Vec<Ubig> = (0..lanes)
             .map(|k| Ubig::random_bits(&mut rng, (k * 17) % (l + 1)))
             .collect();
-        let mut me = BatchModExp::new(BitSlicedBatch::new(params.clone()));
+        let mut me = BatchModExp::new(EngineKind::BitSliced.build(params.clone()));
         let got = me.try_modexp(&ms, ScalarSet::PerLane(&es), WindowPolicy::Fixed(w)).unwrap();
         for k in 0..lanes {
             prop_assert_eq!(
@@ -151,7 +153,7 @@ proptest! {
         let es: Vec<Ubig> = (0..lanes)
             .map(|k| Ubig::random_bits(&mut rng, (k * 13) % (l + 1)))
             .collect();
-        let mut me = BatchModExp::new(BitSlicedBatch::new(params.clone()));
+        let mut me = BatchModExp::new(EngineKind::BitSliced.build(params.clone()));
         let got = me.try_modexp(&ms, ScalarSet::PerLane(&es), WindowPolicy::Fixed(1)).unwrap();
         for k in 0..lanes {
             prop_assert_eq!(
@@ -177,7 +179,7 @@ fn windowed_modexp_word_boundary_widths() {
                 .map(|_| Ubig::random_below(&mut rng, &n))
                 .collect();
             let es: Vec<Ubig> = (0..lanes).map(|_| Ubig::random_bits(&mut rng, l)).collect();
-            let mut me = BatchModExp::new(BitSlicedBatch::new(params.clone()));
+            let mut me = BatchModExp::new(EngineKind::BitSliced.build(params.clone()));
             let got = me
                 .try_modexp(&ms, ScalarSet::PerLane(&es), WindowPolicy::Auto)
                 .unwrap();
@@ -200,7 +202,7 @@ fn word_boundary_widths_all_partial_batch_sizes() {
     let mut rng = StdRng::seed_from_u64(0xBA7C4);
     for l in [62usize, 63, 64, 65, 66, 126, 127, 128] {
         let params = random_safe_params(&mut rng, l);
-        let mut batch = BitSlicedBatch::new(params.clone());
+        let mut batch = EngineKind::BitSliced.build(params.clone());
         let mut solo = PackedMmmc::new(params.clone());
         for lanes in [1usize, 3, 63, 64] {
             let xs: Vec<Ubig> = (0..lanes)

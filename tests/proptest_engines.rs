@@ -3,11 +3,11 @@
 //! proptest drives the shrinking if anything breaks.
 
 use montgomery_systolic::bigint::Ubig;
-use montgomery_systolic::core::cios52::{Cios52Batch, Cios52Kernel};
+use montgomery_systolic::core::cios52::Cios52Kernel;
 use montgomery_systolic::core::mmmc::GateEngine;
 use montgomery_systolic::core::montgomery::{mont_mul_alg1, mont_mul_alg2, MontgomeryParams};
 use montgomery_systolic::core::wave::WaveMmmc;
-use montgomery_systolic::core::{BatchMontMul, Mmmc, MontMul};
+use montgomery_systolic::core::{AnyBatchEngine, BatchMontMul, Mmmc, MontMul};
 use montgomery_systolic::hdl::CarryStyle;
 use proptest::prelude::*;
 
@@ -84,7 +84,7 @@ proptest! {
             .map(|(x, y)| mont_mul_alg2(&params, x, y))
             .collect();
         for &kernel in Cios52Kernel::available() {
-            let mut e = Cios52Batch::with_kernel(params.clone(), kernel);
+            let mut e = AnyBatchEngine::with_cios52_kernel(params.clone(), kernel);
             prop_assert_eq!(
                 e.mont_mul_batch(&xs, &ys),
                 want.clone(),

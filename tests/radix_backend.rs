@@ -8,17 +8,17 @@
 //! digit-domain conversions.
 
 use montgomery_systolic::bigint::Ubig;
-use montgomery_systolic::core::batch::{try_mont_mul_many, BitSlicedBatch};
-use montgomery_systolic::core::cios::{CiosBatch, CiosMont};
+use montgomery_systolic::core::batch::try_mont_mul_many;
+use montgomery_systolic::core::cios::CiosMont;
 use montgomery_systolic::core::cios52::{
-    digits52_to_limbs, limbs_to_digits52, Cios52Batch, Cios52Kernel, DIGIT_BITS, DIGIT_MASK,
+    digits52_to_limbs, limbs_to_digits52, Cios52Kernel, DIGIT_BITS, DIGIT_MASK,
 };
 use montgomery_systolic::core::expo_batch::{try_modexp_many, BatchModExp};
 use montgomery_systolic::core::modgen::{random_operand, random_safe_params};
 use montgomery_systolic::core::montgomery::MontgomeryParams;
 use montgomery_systolic::core::wave_packed::PackedMmmc;
 use montgomery_systolic::core::{
-    BatchMontMul, EngineConfig, EngineKind, MontMul, ScalarSet, WindowPolicy,
+    AnyBatchEngine, BatchMontMul, EngineConfig, EngineKind, MontMul, ScalarSet, WindowPolicy,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -39,8 +39,8 @@ proptest! {
         let xs: Vec<Ubig> = (0..lanes).map(|_| random_operand(&mut rng, &params)).collect();
         let ys: Vec<Ubig> = (0..lanes).map(|_| random_operand(&mut rng, &params)).collect();
 
-        let mut cios = CiosBatch::new(params.clone());
-        let mut bits = BitSlicedBatch::new(params.clone());
+        let mut cios = EngineKind::Cios.build(params.clone());
+        let mut bits = EngineKind::BitSliced.build(params.clone());
         let got = cios.mont_mul_batch(&xs, &ys);
         let want = bits.mont_mul_batch(&xs, &ys);
         prop_assert_eq!(&got, &want, "batch CIOS vs bit-sliced at l={}", l);
@@ -48,7 +48,7 @@ proptest! {
         // The radix-2⁵² carry-save engine shares the contract too, on
         // every kernel this host can run.
         for &kernel in Cios52Kernel::available() {
-            let mut c52 = Cios52Batch::with_kernel(params.clone(), kernel);
+            let mut c52 = AnyBatchEngine::with_cios52_kernel(params.clone(), kernel);
             let got52 = c52.mont_mul_batch(&xs, &ys);
             prop_assert_eq!(&got52, &want, "cios52/{} at l={}", kernel.name(), l);
         }
@@ -80,11 +80,11 @@ proptest! {
             .map(|k| Ubig::random_bits(&mut rng, (k * 17) % (l + 1)))
             .collect();
         let (es_set, window) = (ScalarSet::PerLane(&es), WindowPolicy::Fixed(w));
-        let mut cios = BatchModExp::new(CiosBatch::new(params.clone()));
+        let mut cios = BatchModExp::new(EngineKind::Cios.build(params.clone()));
         let got = cios.try_modexp(&ms, es_set, window).unwrap();
-        let mut bits = BatchModExp::new(BitSlicedBatch::new(params.clone()));
+        let mut bits = BatchModExp::new(EngineKind::BitSliced.build(params.clone()));
         prop_assert_eq!(&got, &bits.try_modexp(&ms, es_set, window).unwrap(), "w={}", w);
-        let mut c52 = BatchModExp::new(Cios52Batch::new(params.clone()));
+        let mut c52 = BatchModExp::new(EngineKind::Cios52.build(params.clone()));
         prop_assert_eq!(&got, &c52.try_modexp(&ms, es_set, window).unwrap(), "cios52 w={}", w);
         for k in 0..lanes {
             prop_assert_eq!(&got[k], &ms[k].modpow(&es[k], &n), "w={} lane {}", w, k);
@@ -202,13 +202,13 @@ fn cios_bit_identity_at_word_boundary_and_serving_widths() {
     let mut rng = StdRng::seed_from_u64(0xC105);
     for l in [63usize, 64, 65, 256, 1024] {
         let params = random_safe_params(&mut rng, l);
-        let mut cios = CiosBatch::new(params.clone());
-        let mut bits = BitSlicedBatch::new(params.clone());
+        let mut cios = EngineKind::Cios.build(params.clone());
+        let mut bits = EngineKind::BitSliced.build(params.clone());
         let mut scalar = CiosMont::new(params.clone());
         // Every radix-2⁵² kernel this host can run joins the grid.
-        let mut c52: Vec<Cios52Batch> = Cios52Kernel::available()
+        let mut c52: Vec<AnyBatchEngine> = Cios52Kernel::available()
             .iter()
-            .map(|&k| Cios52Batch::with_kernel(params.clone(), k))
+            .map(|&k| AnyBatchEngine::with_cios52_kernel(params.clone(), k))
             .collect();
         for lanes in [1usize, 3, 63, 64] {
             let xs: Vec<Ubig> = (0..lanes)
@@ -230,7 +230,7 @@ fn cios_bit_identity_at_word_boundary_and_serving_widths() {
                     e.mont_mul_batch(&xs, &ys),
                     want,
                     "cios52/{} l={l} lanes={lanes}",
-                    e.kernel().name()
+                    e.name()
                 );
             }
         }
@@ -256,9 +256,9 @@ fn windowed_modexp_cross_backend_word_boundary_widths() {
                 .map(|_| Ubig::random_bits(&mut rng, ebits))
                 .collect();
             let es_set = ScalarSet::PerLane(&es);
-            let mut cios = BatchModExp::new(CiosBatch::new(params.clone()));
+            let mut cios = BatchModExp::new(EngineKind::Cios.build(params.clone()));
             let got = cios.try_modexp(&ms, es_set, WindowPolicy::Auto).unwrap();
-            let mut bits = BatchModExp::new(BitSlicedBatch::new(params.clone()));
+            let mut bits = BatchModExp::new(EngineKind::BitSliced.build(params.clone()));
             assert_eq!(
                 got,
                 bits.try_modexp(&ms, es_set, WindowPolicy::Auto).unwrap(),
@@ -286,7 +286,7 @@ fn cios_handles_hardware_unsafe_tight_widths() {
         }
         let params = MontgomeryParams::tight(&n);
         assert!(!params.is_hardware_safe(), "bits={bits}");
-        let mut batch = CiosBatch::new(params.clone());
+        let mut batch = EngineKind::Cios.build(params.clone());
         let xs: Vec<Ubig> = (0..8).map(|_| random_operand(&mut rng, &params)).collect();
         let got = batch.mont_mul_batch(&xs, &xs);
         for k in 0..8 {
@@ -294,7 +294,7 @@ fn cios_handles_hardware_unsafe_tight_widths() {
         }
         // The radix-2⁵² engine is equally unconstrained.
         for &kernel in Cios52Kernel::available() {
-            let mut c52 = Cios52Batch::with_kernel(params.clone(), kernel);
+            let mut c52 = AnyBatchEngine::with_cios52_kernel(params.clone(), kernel);
             assert_eq!(
                 c52.mont_mul_batch(&xs, &xs),
                 got,
