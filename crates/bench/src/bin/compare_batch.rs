@@ -15,9 +15,13 @@
 //!   `features:` line and recorded in the JSON, so results always say
 //!   which kernel actually ran),
 //!
-//! and reports multiplications per second plus the speedups. The
-//! engines are verified bit-identical on the measured operands before
-//! any timing. Run with
+//! and reports multiplications per second plus the speedups. A second
+//! table times every available radix-2⁵² kernel separately (64 lanes,
+//! plain) at l ∈ {257, 513, 1025}, the widths the benchmark traces: one
+//! `cios52/<kernel>` row per kernel and width, the median of
+//! [`KERNEL_SAMPLES`] samples with their min and max. The engines are
+//! verified bit-identical on the measured operands before any timing.
+//! Run with
 //! `cargo run --release -p mmm-bench --bin compare_batch`
 //! (`-- --quick` shrinks the widths and budget to a CI smoke run and
 //! skips the JSON).
@@ -50,6 +54,71 @@ struct Row {
     batch_hardened_ns_per_mul: f64,
     cios_hardened_ns_per_mul: f64,
     cios52_hardened_ns_per_mul: f64,
+}
+
+/// One radix-2⁵² kernel's 64-lane plain ns/mul at one width, over
+/// [`KERNEL_SAMPLES`] samples.
+struct KernelRow {
+    l: usize,
+    kernel: Cios52Kernel,
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+/// Samples per kernel and width in the per-kernel table.
+const KERNEL_SAMPLES: usize = 7;
+
+/// Times every available radix-2⁵² kernel at each width in `sizes`,
+/// after checking each against the radix-2⁶⁴ scan on the measured
+/// operands.
+fn kernel_sweep(rng: &mut StdRng, sizes: &[usize], sample_ms: u64) -> Vec<KernelRow> {
+    let mut rows = Vec::new();
+    for &l in sizes {
+        let params = random_safe_params(rng, l);
+        let xs: Vec<Ubig> = (0..MAX_LANES)
+            .map(|_| random_operand(rng, &params))
+            .collect();
+        let ys: Vec<Ubig> = (0..MAX_LANES)
+            .map(|_| random_operand(rng, &params))
+            .collect();
+        let want = EngineKind::Cios
+            .build(params.clone())
+            .mont_mul_batch(&xs, &ys);
+        for &kernel in Cios52Kernel::available() {
+            let mut e = AnyBatchEngine::with_cios52_kernel(params.clone(), kernel);
+            assert_eq!(
+                e.mont_mul_batch(&xs, &ys),
+                want,
+                "cios52/{} l={l}",
+                kernel.name()
+            );
+            let mut samples: Vec<f64> = (0..KERNEL_SAMPLES)
+                .map(|_| {
+                    time_ns_per_call(sample_ms, || {
+                        black_box(e.mont_mul_batch(black_box(&xs), black_box(&ys)));
+                    }) / MAX_LANES as f64
+                })
+                .collect();
+            samples.sort_by(f64::total_cmp);
+            let row = KernelRow {
+                l,
+                kernel,
+                median: samples[KERNEL_SAMPLES / 2],
+                min: samples[0],
+                max: samples[KERNEL_SAMPLES - 1],
+            };
+            println!(
+                "{l:>6}  {:<18} {:>12.1} {:>12.1} {:>12.1}",
+                format!("cios52/{}", kernel.name()),
+                row.median,
+                row.min,
+                row.max
+            );
+            rows.push(row);
+        }
+    }
+    rows
 }
 
 impl Row {
@@ -201,6 +270,14 @@ fn main() {
         });
     }
 
+    println!("\nradix-2^52 kernels ({MAX_LANES} lanes, plain; median of {KERNEL_SAMPLES} samples)");
+    println!(
+        "{:>6}  {:<18} {:>12} {:>12} {:>12}",
+        "l", "kernel", "ns/mul", "min", "max"
+    );
+    let kernel_sizes: &[usize] = if quick { &[65, 129] } else { &[257, 513, 1025] };
+    let kernel_rows = kernel_sweep(&mut rng, kernel_sizes, budget_ms / 5);
+
     if quick {
         println!("\nquick mode: smoke run only, BENCH JSON not written");
         return;
@@ -254,6 +331,18 @@ fn main() {
             Row::tax_pct(r.cios_ns_per_mul, r.cios_hardened_ns_per_mul),
             Row::tax_pct(r.cios52_ns_per_mul, r.cios52_hardened_ns_per_mul),
             if i + 1 < rows.len() { "," } else { "" }
+        ));
+    }
+    json.push_str("  ],\n  \"kernel_rows\": [\n");
+    for (i, r) in kernel_rows.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"l\": {}, \"kernel\": \"{}\", \"samples\": {KERNEL_SAMPLES}, \"ns_per_mul_median\": {:.1}, \"ns_per_mul_min\": {:.1}, \"ns_per_mul_max\": {:.1}}}{}\n",
+            r.l,
+            r.kernel.name(),
+            r.median,
+            r.min,
+            r.max,
+            if i + 1 < kernel_rows.len() { "," } else { "" }
         ));
     }
     json.push_str("  ]\n}\n");

@@ -60,11 +60,33 @@ use crate::error::{MmmError, OperandBound};
 use crate::montgomery::MontgomeryParams;
 use crate::pool;
 use crate::traits::{BatchMontMul, MontMul};
+use mmm_bigint::limbs::Limb;
 use mmm_bigint::transpose::{lanes_to_slices_into, slices_to_lanes_into};
 use mmm_bigint::Ubig;
 
 /// Lanes one engine advances per simulated cycle (bits in a word).
 pub const MAX_LANES: usize = 64;
+
+/// A lane row of the word-per-lane SoA state the radix-2⁶⁴ and
+/// radix-2⁵² datapaths share (`soa[j·64 + k]` is row `j`, lane `k`):
+/// fixed-size so per-lane loops have a compile-time trip count.
+pub(crate) type LaneRow = [Limb; MAX_LANES];
+
+/// Borrows row `j` of an SoA buffer as a fixed-size lane row.
+#[inline(always)]
+pub(crate) fn row(soa: &[Limb], j: usize) -> &LaneRow {
+    soa[j * MAX_LANES..(j + 1) * MAX_LANES]
+        .try_into()
+        .expect("row is exactly MAX_LANES wide")
+}
+
+/// Mutable variant of [`row`].
+#[inline(always)]
+pub(crate) fn row_mut(soa: &mut [Limb], j: usize) -> &mut LaneRow {
+    (&mut soa[j * MAX_LANES..(j + 1) * MAX_LANES])
+        .try_into()
+        .expect("row is exactly MAX_LANES wide")
+}
 
 /// The bit-sliced datapath behind [`EngineKind::BitSliced`]: the
 /// engine's native bit-plane buffers plus the load/run/store stages the

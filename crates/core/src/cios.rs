@@ -59,16 +59,13 @@
 //! leaks (secret-indexed power-table loads) are closed separately in
 //! [`crate::expo_batch`]; DESIGN.md §12 has the full per-path table.
 
+use crate::batch::{row, row_mut, LaneRow, MAX_LANES};
 use crate::montgomery::MontgomeryParams;
 use crate::traits::MontMul;
 use mmm_bigint::ct::sbb_ct;
 use mmm_bigint::limbs::{adc, carrying_mul, mac_with_carry, Limb, LIMB_BITS};
 use mmm_bigint::transpose::{lanes_to_limbs_into, limbs_to_lanes_into};
 use mmm_bigint::Ubig;
-
-/// Lanes the batch datapath advances per call (matches
-/// [`crate::batch::MAX_LANES`] so sharding logic is engine-agnostic).
-pub const MAX_LANES: usize = crate::batch::MAX_LANES;
 
 /// Shared per-width geometry of the radix-2⁶⁴ scan over `R = 2^{l+2}`.
 #[derive(Debug, Clone, Copy)]
@@ -289,26 +286,6 @@ impl CiosDatapath {
         let sw = self.geo.sw;
         limbs_to_lanes_into(&self.t[..sw * MAX_LANES], sw, MAX_LANES, lanes, out);
     }
-}
-
-/// A lane row of the SoA state: fixed-size so the per-lane loops have
-/// a compile-time trip count (64) for the vectorizer.
-type LaneRow = [Limb; MAX_LANES];
-
-/// Borrows limb row `j` of an SoA buffer as a fixed-size lane row.
-#[inline(always)]
-fn row(soa: &[Limb], j: usize) -> &LaneRow {
-    soa[j * MAX_LANES..(j + 1) * MAX_LANES]
-        .try_into()
-        .expect("row is exactly MAX_LANES wide")
-}
-
-/// Mutable variant of [`row`].
-#[inline(always)]
-fn row_mut(soa: &mut [Limb], j: usize) -> &mut LaneRow {
-    (&mut soa[j * MAX_LANES..(j + 1) * MAX_LANES])
-        .try_into()
-        .expect("row is exactly MAX_LANES wide")
 }
 
 /// `t[k] += a[k]·b[k] + carry[k]` across all 64 lanes of one limb

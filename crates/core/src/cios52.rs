@@ -13,17 +13,11 @@
 //! accumulator is renormalized **once per outer scan step**, not once
 //! per digit. This is exactly the shape of AVX-512-IFMA's
 //! `vpmadd52lo/hi` instructions, and the same dataflow maps onto AVX2
-//! `mul_epu32` pairs and onto plain u64 arithmetic (which LLVM
-//! auto-vectorizes), so one algorithm serves three kernels:
-//!
-//! * [`Cios52Kernel::Portable`] — branch-free u64/u128 carry-save MACs
-//!   over the struct-of-arrays lane layout; runs on any host.
-//! * [`Cios52Kernel::Avx2`] — 4 lanes per `__m256i`, each 52×52
-//!   product assembled from three `_mm256_mul_epu32` 32×32→64
-//!   multiplies via a 26-bit operand split.
-//! * [`Cios52Kernel::Ifma`] — 8 lanes per `__m512i`,
-//!   `_mm512_madd52lo_epu64` / `_mm512_madd52hi_epu64` doing the
-//!   52×52→104 MAC in one instruction each.
+//! `mul_epu32` and onto plain u64/u128 arithmetic. So the scan is
+//! written **once**, generic over a small lane-vector trait, and each
+//! kernel is one impl of it: [`Cios52Kernel::Portable`] (8 u64 lanes),
+//! [`Cios52Kernel::Avx2`] (4 lanes per `__m256i`) and
+//! [`Cios52Kernel::Ifma`] (8 lanes per `__m512i`).
 //!
 //! CPU features are detected once per process
 //! ([`Cios52Kernel::available`], a `OnceLock`) and the strongest
@@ -64,15 +58,14 @@
 //! every kernel with a value-independent schedule. DESIGN.md §12 has
 //! the full per-path table.
 
+use crate::batch::{row, row_mut, LaneRow, MAX_LANES};
 use crate::montgomery::MontgomeryParams;
 use mmm_bigint::limbs::{Limb, LIMB_BITS};
 use mmm_bigint::transpose::{lanes_to_limbs_into, limbs_to_lanes_into};
 use mmm_bigint::Ubig;
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::*;
 use std::sync::OnceLock;
-
-/// Lanes the batch datapath advances per call (matches
-/// [`crate::batch::MAX_LANES`] so sharding logic is engine-agnostic).
-pub const MAX_LANES: usize = crate::batch::MAX_LANES;
 
 /// Payload bits per digit: 52 of the 64 lane bits carry value, the
 /// top 12 are deferred-carry headroom.
@@ -169,13 +162,12 @@ pub fn digits52_to_limbs(digits: &[u64], limbs: usize) -> Vec<u64> {
 /// Word-SoA → digit-SoA: for each digit row, gather bits
 /// `[52d, 52d + 52)` from the (at most two) straddled word rows, all
 /// `MAX_LANES` lanes at once.
-fn soa_words_to_digits52(words: &[Limb], sw: usize, digits: &mut [Limb], s: usize) {
-    for d in 0..s {
+fn soa_words_to_digits52(words: &[Limb], sw: usize, digits: &mut [LaneRow]) {
+    for (d, drow) in digits.iter_mut().enumerate() {
         let bit = d * DIGIT_BITS;
         let w = bit / LIMB_BITS;
         let b = (bit % LIMB_BITS) as u32;
         let wrow = row(words, w);
-        let drow = row_mut(digits, d);
         if b as usize > LIMB_BITS - DIGIT_BITS && w + 1 < sw {
             let nrow = row(words, w + 1);
             let up = LIMB_BITS as u32 - b;
@@ -193,19 +185,16 @@ fn soa_words_to_digits52(words: &[Limb], sw: usize, digits: &mut [Limb], s: usiz
 /// Digit-SoA → word-SoA: scatter each normalized digit row into the
 /// word rows it straddles. Requires every digit `< 2⁵²` (the kernels
 /// end with a normalization pass, so this holds on the output path).
-fn soa_digits52_to_words(digits: &[Limb], s: usize, words: &mut [Limb], sw: usize) {
+fn soa_digits52_to_words(digits: &[LaneRow], words: &mut [Limb], sw: usize) {
     words[..sw * MAX_LANES].fill(0);
-    for d in 0..s {
+    for (d, drow) in digits.iter().enumerate() {
         let bit = d * DIGIT_BITS;
         let w = bit / LIMB_BITS;
         let b = (bit % LIMB_BITS) as u32;
-        let drow = *row(digits, d);
-        {
-            let wrow = row_mut(words, w);
-            for k in 0..MAX_LANES {
-                debug_assert!(drow[k] <= DIGIT_MASK, "unnormalized digit on output");
-                wrow[k] |= drow[k] << b;
-            }
+        let wrow = row_mut(words, w);
+        for k in 0..MAX_LANES {
+            debug_assert!(drow[k] <= DIGIT_MASK, "unnormalized digit on output");
+            wrow[k] |= drow[k] << b;
         }
         if b as usize > LIMB_BITS - DIGIT_BITS && w + 1 < sw {
             let down = LIMB_BITS as u32 - b;
@@ -222,10 +211,9 @@ fn soa_digits52_to_words(digits: &[Limb], s: usize, words: &mut [Limb], sw: usiz
 /// throughput decision made once per process from CPU features.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Cios52Kernel {
-    /// Branch-free u64/u128 carry-save MACs; runs on any host and is
-    /// written so LLVM auto-vectorizes the lane loops.
+    /// Groups of 8 u64 lanes with u128 products; runs on any host.
     Portable,
-    /// x86-64 AVX2: 4 lanes per `__m256i`, 52×52 products from three
+    /// x86-64 AVX2: 4 lanes per `__m256i`, 52×52 products from four
     /// `mul_epu32` via a 26-bit split.
     Avx2,
     /// x86-64 AVX-512-IFMA: 8 lanes per `__m512i`, `vpmadd52lo/hi`.
@@ -307,11 +295,11 @@ pub(crate) struct Cios52Datapath {
     /// Word-domain SoA staging buffer (`sw` rows), reused for input
     /// transposes and the output conversion.
     wscratch: Vec<Limb>,
-    /// Digit-domain SoA operands: `x[d·64 + k]` is digit `d`, lane `k`.
-    x: Vec<Limb>,
-    y: Vec<Limb>,
-    /// Digit-domain SoA accumulator, `s + 2` rows.
-    t: Vec<Limb>,
+    /// Digit-domain SoA operands: `x[d][k]` is digit `d`, lane `k`.
+    x: Vec<LaneRow>,
+    y: Vec<LaneRow>,
+    /// Digit-domain SoA accumulator, `s + 1` rows.
+    t: Vec<LaneRow>,
 }
 
 impl Cios52Datapath {
@@ -336,9 +324,9 @@ impl Cios52Datapath {
             n: limbs_to_digits52(&n_words, geo.s),
             n_words,
             wscratch: vec![0; geo.sw * MAX_LANES],
-            x: vec![0; geo.s * MAX_LANES],
-            y: vec![0; geo.s * MAX_LANES],
-            t: vec![0; (geo.s + 2) * MAX_LANES],
+            x: vec![[0; MAX_LANES]; geo.s],
+            y: vec![[0; MAX_LANES]; geo.s],
+            t: vec![[0; MAX_LANES]; geo.s + 1],
             geo,
             kernel,
         }
@@ -375,12 +363,12 @@ impl Cios52Datapath {
     /// Transposes a validated batch into word rows, splits those into
     /// 52-bit digit rows and clears the accumulator.
     pub(crate) fn load(&mut self, xs: &[Ubig], ys: &[Ubig]) {
-        let Geometry { s, sw, .. } = self.geo;
+        let sw = self.geo.sw;
         lanes_to_limbs_into(xs, sw, MAX_LANES, &mut self.wscratch);
-        soa_words_to_digits52(&self.wscratch, sw, &mut self.x, s);
+        soa_words_to_digits52(&self.wscratch, sw, &mut self.x);
         lanes_to_limbs_into(ys, sw, MAX_LANES, &mut self.wscratch);
-        soa_words_to_digits52(&self.wscratch, sw, &mut self.y, s);
-        self.t.fill(0);
+        soa_words_to_digits52(&self.wscratch, sw, &mut self.y);
+        self.t.fill([0; MAX_LANES]);
     }
 
     /// Runs the selected kernel on the loaded batch and packs the
@@ -413,7 +401,8 @@ impl Cios52Datapath {
                 unreachable!("SIMD kernels are x86-64 only and gated by Cios52Datapath::new")
             }
         }
-        soa_digits52_to_words(&self.t, self.geo.s, &mut self.wscratch, self.geo.sw);
+        let Geometry { s, sw, .. } = self.geo;
+        soa_digits52_to_words(&self.t[..s], &mut self.wscratch, sw);
     }
 
     /// Canonicalizes every lane of the word-form result `< N` in place
@@ -430,360 +419,243 @@ impl Cios52Datapath {
     }
 }
 
-/// A lane row of the SoA state: fixed-size so the per-lane loops have
-/// a compile-time trip count (64) for the vectorizer.
-type LaneRow = [Limb; MAX_LANES];
-
-/// Borrows digit row `j` of an SoA buffer as a fixed-size lane row.
-#[inline(always)]
-fn row(soa: &[Limb], j: usize) -> &LaneRow {
-    soa[j * MAX_LANES..(j + 1) * MAX_LANES]
-        .try_into()
-        .expect("row is exactly MAX_LANES wide")
-}
-
-/// Mutable variant of [`row`].
-#[inline(always)]
-fn row_mut(soa: &mut [Limb], j: usize) -> &mut LaneRow {
-    (&mut soa[j * MAX_LANES..(j + 1) * MAX_LANES])
-        .try_into()
-        .expect("row is exactly MAX_LANES wide")
-}
-
-/// The once-per-outer-step normalization: ripple each lane's deferred
-/// carries up through digit rows `0..=top`, leaving every digit
-/// `< 2⁵²`. This is the *only* carry chain in the whole scan.
-#[inline(always)]
-fn normalize52(t: &mut [Limb], top: usize) {
-    let mut c: LaneRow = [0; MAX_LANES];
-    for j in 0..=top {
-        let tj = row_mut(t, j);
-        for k in 0..MAX_LANES {
-            let v = tj[k] + c[k];
-            tj[k] = v & DIGIT_MASK;
-            c[k] = v >> DIGIT_BITS;
-        }
+/// The lane-vector operations the carry-save scan is written in: one
+/// value holds lanes `off..off + W` of an SoA digit row. [`scan`] is
+/// written once over this trait, and each kernel is one impl. Each impl
+/// must meet DESIGN.md §9's headroom budget: `mac`'s low part is below
+/// 2⁵³, and exact mod 2⁵² even for `b < 2⁵⁴` (`mul_lo52` needs that).
+trait LaneVec: Copy {
+    /// Lanes per vector, one `u64` each; divides `MAX_LANES`.
+    const W: usize = std::mem::size_of::<Self>() / 8;
+    /// A multiplicand prepared once per scan step (`x_i`, `m`, `n0'`):
+    /// split into 26-bit halves on AVX2, unchanged elsewhere.
+    type Mul: Copy;
+    fn load(row: &LaneRow, off: usize) -> Self;
+    fn store(self, row: &mut LaneRow, off: usize);
+    fn splat(v: u64) -> Self;
+    fn add(self, other: Self) -> Self;
+    fn and(self, other: Self) -> Self;
+    fn shr(self, bits: u32) -> Self;
+    fn shl(self, bits: u32) -> Self;
+    /// Prepares lanes `< 2⁵²` as a multiplicand.
+    fn prep(self) -> Self::Mul;
+    /// `(acc + lo, hi)` with `lo + hi·2⁵² = a·b` and `lo < 2⁵³`, for
+    /// lanes `a, b < 2⁵²`.
+    fn mac(acc: Self, a: Self::Mul, b: Self) -> (Self, Self);
+    /// `a·b mod 2⁵²`, exact for lanes `a < 2⁵⁴`.
+    #[inline(always)]
+    fn mul_lo52(a: Self, b: Self::Mul) -> Self {
+        let lo = Self::mac(Self::splat(0), b, a).0;
+        lo.and(Self::splat(DIGIT_MASK))
     }
-    debug_assert_eq!(c, [0; MAX_LANES], "carry out of the top digit row");
 }
 
-/// The portable carry-save scan (see the module docs): `full` 52-bit
-/// steps plus the partial reduction, all 64 lanes in lockstep. Inner
-/// loops are branch-free 52×52→104 MACs with the high halves deferred
-/// one digit ([`normalize52`] runs once per outer step). A free
-/// function over slice parameters on purpose — parameter-level
-/// `&`/`&mut` carry `noalias` into LLVM so the lane loops vectorize.
-#[inline(never)]
-#[allow(clippy::needless_range_loop)] // j indexes n and the SoA accumulator rows together
-fn run_cios52_portable(geo: Geometry, n: &[Limb], x: &[Limb], y: &[Limb], t: &mut [Limb]) {
+/// Debug builds only: panics with `what` unless every lane of `v()` is
+/// zero. The lanes are read back through `store`, so every kernel checks.
+#[inline(always)]
+fn debug_lanes_zero<V: LaneVec>(v: impl FnOnce() -> V, what: &str) {
+    if cfg!(debug_assertions) {
+        let mut lanes: LaneRow = [0; MAX_LANES];
+        v().store(&mut lanes, 0);
+        assert_eq!(lanes, [0; MAX_LANES], "{what}");
+    }
+}
+
+/// `t += a ⊙ b` on lanes `off..off + W` of rows `0..=s`, `b` yielding
+/// the `s` row multiplicands. Each row takes the low half of its product
+/// plus the row below's deferred high half; the last high half lands in
+/// row `s`. No carry ripples.
+#[inline(always)]
+fn accumulate<V: LaneVec>(t: &mut [LaneRow], off: usize, a: V::Mul, b: impl Iterator<Item = V>) {
+    let (top, rows) = t.split_last_mut().expect("s + 1 rows");
+    let mut hi = V::splat(0);
+    for (tj, bj) in rows.iter_mut().zip(b) {
+        let (acc, h) = V::mac(V::load(tj, off).add(hi), a, bj);
+        acc.store(tj, off);
+        hi = h;
+    }
+    V::load(top, off).add(hi).store(top, off);
+}
+
+/// The once-per-step normalization of lanes `off..off + W`, fused with
+/// the step's exact division by `2^k` (`k ≤ 52`): ripple the deferred
+/// carries up through `t`, the *only* carry chain in the scan, and
+/// shift the value right by `k` bits, leaving every digit `< 2⁵²`.
+#[inline(always)]
+fn normalize_shr<V: LaneVec>(t: &mut [LaneRow], off: usize, k: u32) {
+    let (mask, low) = (V::splat(DIGIT_MASK), V::splat((1 << k) - 1));
+    let v = V::load(&t[0], off);
+    debug_lanes_zero(|| v.and(low), "low bits of the step must cancel");
+    // `prev` is the normalized digit below row `j`. Its shifted part and
+    // `up` occupy disjoint bits, so `add` joins them. With `k = 52` the
+    // shifts fold away and each digit just moves down one row.
+    let (mut carry, mut prev) = (v.shr(DIGIT_BITS as u32), v.and(mask));
+    for j in 1..t.len() {
+        let v = V::load(&t[j], off).add(carry);
+        let d = v.and(mask);
+        let up = d.and(low).shl(DIGIT_BITS as u32 - k);
+        prev.shr(k).add(up).store(&mut t[j - 1], off);
+        (carry, prev) = (v.shr(DIGIT_BITS as u32), d);
+    }
+    prev.shr(k).store(&mut t[t.len() - 1], off);
+    debug_lanes_zero(|| carry, "carry out of the top digit row");
+}
+
+/// One scan step on lanes `off..off + W` of `t` (rows `0..=s`):
+/// `t = (t + x_i·y + m·N) / 2^k` with `m < 2^k`, the quotient digit
+/// that makes the division exact. `k = 52` for a full step, `rem` for
+/// the partial one.
+#[inline(always)]
+fn step<V: LaneVec>(
+    t: &mut [LaneRow],
+    off: usize,
+    xi: V,
+    y: &[LaneRow],
+    n: &[Limb],
+    n0_inv: V::Mul,
+    k: u32,
+) {
+    // Pass A: t += x_i ⊙ y.
+    accumulate(t, off, xi.prep(), y.iter().map(|r| V::load(r, off)));
+    // m = t_0 · n0' mod 2^k. t_0 is not normalized, but its excess
+    // bits weigh a multiple of 2⁵², so m is exact.
+    let m = V::mul_lo52(V::load(&t[0], off), n0_inv).and(V::splat((1 << k) - 1));
+    // Pass B: t += m ⊙ N clears the low k bits.
+    accumulate(t, off, m.prep(), n.iter().map(|&d| V::splat(d)));
+    normalize_shr::<V>(t, off, k);
+}
+
+/// The carry-save CIOS scan (see the module docs), written once for
+/// every kernel. The 64 lanes run as `MAX_LANES / W` groups, each
+/// running the whole scan before the next starts so its working set
+/// stays cache-resident: `full` 52-bit steps, then the partial step by
+/// `2^rem`. `T < 4N < 2^{52s}` between steps, so rows `0..=s` hold it.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)] // step i of Algorithm 2 reads digit row i of x
+fn scan<V: LaneVec>(geo: Geometry, n: &[Limb], x: &[LaneRow], y: &[LaneRow], t: &mut [LaneRow]) {
     let s = geo.s;
-    let mut hi: LaneRow = [0; MAX_LANES];
-    let mut m: LaneRow = [0; MAX_LANES];
-
-    for i in 0..geo.full {
-        let xi = *row(x, i);
-        // Pass A: t += x_i ⊙ y, low halves into t[j], high halves
-        // deferred into t[j+1]'s addend (no carry ripple).
-        hi.fill(0);
-        for j in 0..s {
-            let yj = row(y, j);
-            let tj = row_mut(t, j);
-            for k in 0..MAX_LANES {
-                let p = (xi[k] as u128) * (yj[k] as u128);
-                tj[k] += ((p as u64) & DIGIT_MASK) + hi[k];
-                hi[k] = (p >> DIGIT_BITS) as u64;
-            }
-        }
-        {
-            let ts = row_mut(t, s);
-            for k in 0..MAX_LANES {
-                ts[k] += hi[k];
-            }
-        }
-
-        // m = t_0 · n0' mod 2⁵². Digit weights are multiples of 2⁵²,
-        // so t[0] mod 2⁵² is the whole value mod 2⁵² even while t[0]
-        // still carries unnormalized headroom bits.
-        for k in 0..MAX_LANES {
-            m[k] = t[k].wrapping_mul(geo.n0_inv) & DIGIT_MASK;
-        }
-
-        // Pass B: t = (t + m ⊙ N) / 2⁵², fused with the digit shift.
-        // Digit 0 of t + m·N is divisible by 2⁵², so its headroom
-        // bits are an exact carry into digit 1.
-        {
-            let t0 = row(t, 0);
-            for k in 0..MAX_LANES {
-                let p = (m[k] as u128) * (n[0] as u128);
-                let v = t0[k] + ((p as u64) & DIGIT_MASK);
-                debug_assert_eq!(v & DIGIT_MASK, 0, "low digit must cancel");
-                hi[k] = (v >> DIGIT_BITS) + ((p >> DIGIT_BITS) as u64);
-            }
-        }
-        for j in 1..s {
-            // Row j-1 is written while row j is read: split the borrow
-            // at the row boundary so both are live at once.
-            let (left, right) = t.split_at_mut(j * MAX_LANES);
-            let out_row: &mut LaneRow = (&mut left[(j - 1) * MAX_LANES..])
-                .try_into()
-                .expect("row is exactly MAX_LANES wide");
-            let tj: &LaneRow = right[..MAX_LANES]
-                .try_into()
-                .expect("row is exactly MAX_LANES wide");
-            let nj = n[j];
-            for k in 0..MAX_LANES {
-                let p = (m[k] as u128) * (nj as u128);
-                out_row[k] = tj[k] + ((p as u64) & DIGIT_MASK) + hi[k];
-                hi[k] = (p >> DIGIT_BITS) as u64;
-            }
-        }
-        {
-            let (left, right) = t.split_at_mut(s * MAX_LANES);
-            let out_row: &mut LaneRow = (&mut left[(s - 1) * MAX_LANES..])
-                .try_into()
-                .expect("row is exactly MAX_LANES wide");
-            let ts: &mut LaneRow = (&mut right[..MAX_LANES])
-                .try_into()
-                .expect("row is exactly MAX_LANES wide");
-            for k in 0..MAX_LANES {
-                out_row[k] = ts[k] + hi[k];
-                ts[k] = 0;
-            }
-        }
-
-        // The one normalization of this outer step. T < 4N < 2^{52s},
-        // so the value fits rows 0..s and row s ends zero.
-        normalize52(t, s);
-    }
-
-    if geo.rem > 0 {
-        // Partial step: absorb the top (rem-bit) digit of x, then
-        // reduce by the remaining 2^rem.
-        let xf = *row(x, geo.full);
-        hi.fill(0);
-        for j in 0..s {
-            let yj = row(y, j);
-            let tj = row_mut(t, j);
-            for k in 0..MAX_LANES {
-                let p = (xf[k] as u128) * (yj[k] as u128);
-                tj[k] += ((p as u64) & DIGIT_MASK) + hi[k];
-                hi[k] = (p >> DIGIT_BITS) as u64;
-            }
-        }
-        {
-            let ts = row_mut(t, s);
-            for k in 0..MAX_LANES {
-                ts[k] += hi[k];
-            }
-        }
-
-        // m < 2^rem: n0' mod 2^rem is -N⁻¹ mod 2^rem, and t[0] mod
-        // 2^rem is exact for the same positional-weight reason.
-        let rem_mask = (1u64 << geo.rem) - 1;
-        for k in 0..MAX_LANES {
-            m[k] = t[k].wrapping_mul(geo.n0_inv) & rem_mask;
-        }
-
-        // Pass C: t += m ⊙ N, unshifted (the shift is by rem < 52
-        // bits, not a whole digit).
-        hi.fill(0);
-        for j in 0..s {
-            let nj = n[j];
-            let tj = row_mut(t, j);
-            for k in 0..MAX_LANES {
-                let p = (m[k] as u128) * (nj as u128);
-                tj[k] += ((p as u64) & DIGIT_MASK) + hi[k];
-                hi[k] = (p >> DIGIT_BITS) as u64;
-            }
-        }
-        {
-            let ts = row_mut(t, s);
-            for k in 0..MAX_LANES {
-                ts[k] += hi[k];
-            }
-        }
-
-        // Normalize fully *before* the bit shift — the shift reads
-        // exact digit bit patterns, so no headroom may remain.
-        normalize52(t, s + 1);
-        debug_assert!(
-            (0..MAX_LANES).all(|k| t[k] & rem_mask == 0),
-            "low rem bits must cancel"
-        );
-
-        // Lane-wise right shift by rem bits across the digit rows.
-        let up = DIGIT_BITS as u32 - geo.rem;
-        for j in 0..=s {
-            let upper = *row(t, j + 1);
-            let cur = row_mut(t, j);
-            for k in 0..MAX_LANES {
-                cur[k] = (cur[k] >> geo.rem) | ((upper[k] & rem_mask) << up);
-            }
-        }
-    }
-
-    debug_assert!(
-        t[s * MAX_LANES..].iter().all(|&v| v == 0),
-        "result exceeds s digits"
-    );
-}
-
-/// The AVX-512-IFMA kernel: 8 lanes per `__m512i`, so the 64-lane
-/// batch is 8 vector columns; each column runs the whole scan before
-/// the next starts (the working set of one column — `(s+2)·64` bytes
-/// of accumulator plus operands — stays cache-resident). The 52×52→104
-/// MAC is one `vpmadd52lo` + one `vpmadd52hi`; both read only the low
-/// 52 bits of their multiplicands, which the normalization discipline
-/// guarantees for `x`, `y`, `n` and `m`.
-///
-/// # Safety
-/// Requires `avx512f` and `avx512ifma` at runtime (checked by
-/// [`Cios52Kernel::available`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512ifma")]
-#[allow(unsafe_code)]
-#[allow(clippy::needless_range_loop)] // j indexes n and the SoA accumulator rows together
-unsafe fn run_cios52_ifma(geo: Geometry, n: &[Limb], x: &[Limb], y: &[Limb], t: &mut [Limb]) {
-    use core::arch::x86_64::*;
-    const W: usize = 8;
-    let s = geo.s;
-    let mask52 = _mm512_set1_epi64(DIGIT_MASK as i64);
-    let n0inv = _mm512_set1_epi64(geo.n0_inv as i64);
-    let zero = _mm512_setzero_si512();
-    let xp = x.as_ptr();
-    let yp = y.as_ptr();
-    let tp = t.as_mut_ptr();
-
-    for c in 0..MAX_LANES / W {
-        let off = c * W;
+    // Views of exactly `s` digits, so the row loops need no bounds checks.
+    let (n, y, t) = (&n[..s], &y[..s], &mut t[..=s]);
+    let n0_inv = V::splat(geo.n0_inv).prep();
+    for g in 0..MAX_LANES / V::W {
+        let off = g * V::W;
         for i in 0..geo.full {
-            let xi = _mm512_loadu_si512(xp.add(i * MAX_LANES + off) as *const _);
-            // Pass A: t += x_i ⊙ y, high halves deferred one digit.
-            let mut hi = zero;
-            for j in 0..s {
-                let yj = _mm512_loadu_si512(yp.add(j * MAX_LANES + off) as *const _);
-                let tj = _mm512_loadu_si512(tp.add(j * MAX_LANES + off) as *const _);
-                let acc = _mm512_madd52lo_epu64(_mm512_add_epi64(tj, hi), xi, yj);
-                _mm512_storeu_si512(tp.add(j * MAX_LANES + off) as *mut _, acc);
-                hi = _mm512_madd52hi_epu64(zero, xi, yj);
-            }
-            let ts = _mm512_loadu_si512(tp.add(s * MAX_LANES + off) as *const _);
-            _mm512_storeu_si512(
-                tp.add(s * MAX_LANES + off) as *mut _,
-                _mm512_add_epi64(ts, hi),
-            );
-
-            // m = lo52(t_0 · n0') — madd52lo reads exactly the low 52
-            // bits of t_0, which equal the value mod 2⁵².
-            let t0 = _mm512_loadu_si512(tp.add(off) as *const _);
-            let m = _mm512_madd52lo_epu64(zero, t0, n0inv);
-
-            // Pass B fused with the digit shift. Digit 0 of t + m·N
-            // is divisible by 2⁵²: its headroom is an exact carry.
-            let n0 = _mm512_set1_epi64(n[0] as i64);
-            let v0 = _mm512_madd52lo_epu64(t0, m, n0);
-            let mut carry = _mm512_add_epi64(
-                _mm512_srli_epi64(v0, DIGIT_BITS as u32),
-                _mm512_madd52hi_epu64(zero, m, n0),
-            );
-            for j in 1..s {
-                let nj = _mm512_set1_epi64(n[j] as i64);
-                let tj = _mm512_loadu_si512(tp.add(j * MAX_LANES + off) as *const _);
-                let out = _mm512_madd52lo_epu64(_mm512_add_epi64(tj, carry), m, nj);
-                _mm512_storeu_si512(tp.add((j - 1) * MAX_LANES + off) as *mut _, out);
-                carry = _mm512_madd52hi_epu64(zero, m, nj);
-            }
-            let ts = _mm512_loadu_si512(tp.add(s * MAX_LANES + off) as *const _);
-            _mm512_storeu_si512(
-                tp.add((s - 1) * MAX_LANES + off) as *mut _,
-                _mm512_add_epi64(ts, carry),
-            );
-            _mm512_storeu_si512(tp.add(s * MAX_LANES + off) as *mut _, zero);
-
-            // The one normalization of this outer step.
-            let mut cv = zero;
-            for j in 0..=s {
-                let v = _mm512_add_epi64(
-                    _mm512_loadu_si512(tp.add(j * MAX_LANES + off) as *const _),
-                    cv,
-                );
-                _mm512_storeu_si512(
-                    tp.add(j * MAX_LANES + off) as *mut _,
-                    _mm512_and_si512(v, mask52),
-                );
-                cv = _mm512_srli_epi64(v, DIGIT_BITS as u32);
-            }
+            step(t, off, V::load(&x[i], off), y, n, n0_inv, DIGIT_BITS as u32);
         }
-
         if geo.rem > 0 {
-            // Partial step: top rem-bit digit of x, then reduce by
-            // the remaining 2^rem.
-            let xf = _mm512_loadu_si512(xp.add(geo.full * MAX_LANES + off) as *const _);
-            let mut hi = zero;
-            for j in 0..s {
-                let yj = _mm512_loadu_si512(yp.add(j * MAX_LANES + off) as *const _);
-                let tj = _mm512_loadu_si512(tp.add(j * MAX_LANES + off) as *const _);
-                let acc = _mm512_madd52lo_epu64(_mm512_add_epi64(tj, hi), xf, yj);
-                _mm512_storeu_si512(tp.add(j * MAX_LANES + off) as *mut _, acc);
-                hi = _mm512_madd52hi_epu64(zero, xf, yj);
-            }
-            let ts = _mm512_loadu_si512(tp.add(s * MAX_LANES + off) as *const _);
-            _mm512_storeu_si512(
-                tp.add(s * MAX_LANES + off) as *mut _,
-                _mm512_add_epi64(ts, hi),
-            );
-
-            let rem_mask = _mm512_set1_epi64(((1u64 << geo.rem) - 1) as i64);
-            let t0 = _mm512_loadu_si512(tp.add(off) as *const _);
-            let m = _mm512_and_si512(_mm512_madd52lo_epu64(zero, t0, n0inv), rem_mask);
-
-            // Pass C: t += m ⊙ N, unshifted.
-            let mut carry = zero;
-            for j in 0..s {
-                let nj = _mm512_set1_epi64(n[j] as i64);
-                let tj = _mm512_loadu_si512(tp.add(j * MAX_LANES + off) as *const _);
-                let out = _mm512_madd52lo_epu64(_mm512_add_epi64(tj, carry), m, nj);
-                _mm512_storeu_si512(tp.add(j * MAX_LANES + off) as *mut _, out);
-                carry = _mm512_madd52hi_epu64(zero, m, nj);
-            }
-            let ts = _mm512_loadu_si512(tp.add(s * MAX_LANES + off) as *const _);
-            _mm512_storeu_si512(
-                tp.add(s * MAX_LANES + off) as *mut _,
-                _mm512_add_epi64(ts, carry),
-            );
-
-            // Normalize rows 0..=s+1, then shift right by rem bits.
-            let mut cv = zero;
-            for j in 0..=s + 1 {
-                let v = _mm512_add_epi64(
-                    _mm512_loadu_si512(tp.add(j * MAX_LANES + off) as *const _),
-                    cv,
-                );
-                _mm512_storeu_si512(
-                    tp.add(j * MAX_LANES + off) as *mut _,
-                    _mm512_and_si512(v, mask52),
-                );
-                cv = _mm512_srli_epi64(v, DIGIT_BITS as u32);
-            }
-            let shr = _mm_cvtsi32_si128(geo.rem as i32);
-            let shl = _mm_cvtsi32_si128((DIGIT_BITS as u32 - geo.rem) as i32);
-            for j in 0..=s {
-                let cur = _mm512_loadu_si512(tp.add(j * MAX_LANES + off) as *const _);
-                let upper = _mm512_loadu_si512(tp.add((j + 1) * MAX_LANES + off) as *const _);
-                let v = _mm512_or_si512(
-                    _mm512_srl_epi64(cur, shr),
-                    _mm512_sll_epi64(_mm512_and_si512(upper, rem_mask), shl),
-                );
-                _mm512_storeu_si512(tp.add(j * MAX_LANES + off) as *mut _, v);
-            }
+            step(t, off, V::load(&x[geo.full], off), y, n, n0_inv, geo.rem);
         }
+        debug_lanes_zero(|| V::load(&t[s], off), "result exceeds s digits");
     }
 }
 
-/// The AVX2 kernel: 4 lanes per `__m256i` (16 vector columns). AVX2
-/// has no 52- or even 64-bit multiplier, so each 52×52 product is
-/// assembled from three `_mm256_mul_epu32` 32×32→64 multiplies via a
-/// 26-bit operand split `a = a₀ + a₁·2²⁶`:
+/// The portable lane vector: 8 u64 lanes, 52×52→104-bit products
+/// through u128.
+#[derive(Clone, Copy)]
+struct Portable([u64; 8]);
+
+impl LaneVec for Portable {
+    type Mul = Self;
+    #[inline(always)]
+    fn load(row: &LaneRow, off: usize) -> Self {
+        Portable(std::array::from_fn(|k| row[off + k]))
+    }
+    #[inline(always)]
+    fn store(self, row: &mut LaneRow, off: usize) {
+        row[off..off + Self::W].copy_from_slice(&self.0);
+    }
+    #[inline(always)]
+    fn splat(v: u64) -> Self {
+        Portable([v; 8])
+    }
+    #[inline(always)]
+    fn add(self, other: Self) -> Self {
+        Portable(std::array::from_fn(|k| self.0[k] + other.0[k]))
+    }
+    #[inline(always)]
+    fn and(self, other: Self) -> Self {
+        Portable(std::array::from_fn(|k| self.0[k] & other.0[k]))
+    }
+    #[inline(always)]
+    fn shr(self, bits: u32) -> Self {
+        Portable(self.0.map(|a| a >> bits))
+    }
+    #[inline(always)]
+    fn shl(self, bits: u32) -> Self {
+        Portable(self.0.map(|a| a << bits))
+    }
+    #[inline(always)]
+    fn prep(self) -> Self {
+        self
+    }
+    #[inline(always)]
+    fn mac(acc: Self, a: Self, b: Self) -> (Self, Self) {
+        let p: [u128; 8] = std::array::from_fn(|k| a.0[k] as u128 * b.0[k] as u128);
+        let lo = Portable(p.map(|v| v as u64 & DIGIT_MASK));
+        (acc.add(lo), Portable(p.map(|v| (v >> DIGIT_BITS) as u64)))
+    }
+}
+
+/// The AVX-512-IFMA lane vector: 8 lanes per `__m512i`, a MAC is one
+/// `vpmadd52luq` plus one `vpmadd52huq`. Both read only the low 52 bits
+/// of each multiplicand: exact for the normalized `x`, `y`, `n` and `m`,
+/// and exact mod 2⁵² for the redundant `t₀` of `mul_lo52`.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Ifma(__m512i);
+
+// SAFETY (every `unsafe` block here): the intrinsics need AVX-512F and
+// AVX-512-IFMA, and `Ifma` values exist only in `run_cios52_ifma`, whose
+// `#[target_feature]` contract `Cios52Datapath::run` upholds. Loads and
+// stores touch exactly a bounds-checked `row[off..off + 8]`.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+impl LaneVec for Ifma {
+    type Mul = Self;
+    #[inline(always)]
+    fn load(row: &LaneRow, off: usize) -> Self {
+        Ifma(unsafe { _mm512_loadu_si512(row[off..off + 8].as_ptr().cast()) })
+    }
+    #[inline(always)]
+    fn store(self, row: &mut LaneRow, off: usize) {
+        unsafe { _mm512_storeu_si512(row[off..off + 8].as_mut_ptr().cast(), self.0) }
+    }
+    #[inline(always)]
+    fn splat(v: u64) -> Self {
+        Ifma(unsafe { _mm512_set1_epi64(v as i64) })
+    }
+    #[inline(always)]
+    fn add(self, other: Self) -> Self {
+        Ifma(unsafe { _mm512_add_epi64(self.0, other.0) })
+    }
+    #[inline(always)]
+    fn and(self, other: Self) -> Self {
+        Ifma(unsafe { _mm512_and_si512(self.0, other.0) })
+    }
+    #[inline(always)]
+    fn shr(self, bits: u32) -> Self {
+        Ifma(unsafe { _mm512_srl_epi64(self.0, _mm_cvtsi32_si128(bits as i32)) })
+    }
+    #[inline(always)]
+    fn shl(self, bits: u32) -> Self {
+        Ifma(unsafe { _mm512_sll_epi64(self.0, _mm_cvtsi32_si128(bits as i32)) })
+    }
+    #[inline(always)]
+    fn prep(self) -> Self {
+        self
+    }
+    #[inline(always)]
+    fn mac(acc: Self, a: Self, b: Self) -> (Self, Self) {
+        let lo = unsafe { _mm512_madd52lo_epu64(acc.0, a.0, b.0) };
+        let hi = unsafe { _mm512_madd52hi_epu64(_mm512_setzero_si512(), a.0, b.0) };
+        (Ifma(lo), Ifma(hi))
+    }
+}
+
+/// The AVX2 lane vector: 4 lanes per `__m256i`. AVX2 has no 52- or
+/// even 64-bit multiplier, so each 52×52 product is assembled from
+/// `_mm256_mul_epu32` 32×32→64 multiplies via a 26-bit operand split
+/// `a = a₀ + a₁·2²⁶` (the step's multiplicand is split once, by `prep`):
 ///
 /// ```text
 /// a·b = a₀b₀ + (a₀b₁ + a₁b₀)·2²⁶ + a₁b₁·2⁵²
@@ -791,206 +663,84 @@ unsafe fn run_cios52_ifma(geo: Geometry, n: &[Limb], x: &[Limb], y: &[Limb], t: 
 ///                              phi = a₁b₁ + ⌊mid/2²⁶⌋
 /// ```
 ///
-/// `plo` is *redundant* (up to 53 bits) — which is fine, because the
-/// accumulator is carry-save anyway; the headroom budget in
-/// DESIGN.md §9 covers it.
-///
-/// # Safety
-/// Requires `avx2` at runtime (checked by [`Cios52Kernel::available`]).
+/// `plo` is *redundant* (up to 53 bits), which the carry-save
+/// accumulator absorbs. For `b < 2⁵⁴`, `b₁` still fits the 32 bits
+/// `mul_epu32` reads, so `plo` stays exact mod 2⁵².
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Avx2(__m256i);
+
+// SAFETY (every `unsafe` block here): the intrinsics need AVX2, and
+// `Avx2` values exist only in `run_cios52_avx2`, whose `#[target_feature]`
+// contract `Cios52Datapath::run` upholds. Loads and stores touch exactly
+// a bounds-checked `row[off..off + 4]`.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+impl LaneVec for Avx2 {
+    /// The 26-bit halves `(a₀, a₁)`.
+    type Mul = (Self, Self);
+    #[inline(always)]
+    fn load(row: &LaneRow, off: usize) -> Self {
+        Avx2(unsafe { _mm256_loadu_si256(row[off..off + 4].as_ptr().cast()) })
+    }
+    #[inline(always)]
+    fn store(self, row: &mut LaneRow, off: usize) {
+        unsafe { _mm256_storeu_si256(row[off..off + 4].as_mut_ptr().cast(), self.0) }
+    }
+    #[inline(always)]
+    fn splat(v: u64) -> Self {
+        Avx2(unsafe { _mm256_set1_epi64x(v as i64) })
+    }
+    #[inline(always)]
+    fn add(self, other: Self) -> Self {
+        Avx2(unsafe { _mm256_add_epi64(self.0, other.0) })
+    }
+    #[inline(always)]
+    fn and(self, other: Self) -> Self {
+        Avx2(unsafe { _mm256_and_si256(self.0, other.0) })
+    }
+    #[inline(always)]
+    fn shr(self, bits: u32) -> Self {
+        Avx2(unsafe { _mm256_srl_epi64(self.0, _mm_cvtsi32_si128(bits as i32)) })
+    }
+    #[inline(always)]
+    fn shl(self, bits: u32) -> Self {
+        Avx2(unsafe { _mm256_sll_epi64(self.0, _mm_cvtsi32_si128(bits as i32)) })
+    }
+    #[inline(always)]
+    fn prep(self) -> (Self, Self) {
+        (self.and(Self::splat((1 << 26) - 1)), self.shr(26))
+    }
+    #[inline(always)]
+    fn mac(acc: Self, (a0, a1): (Self, Self), b: Self) -> (Self, Self) {
+        let (b0, b1) = b.prep();
+        let mul = |u: Self, v: Self| Avx2(unsafe { _mm256_mul_epu32(u.0, v.0) });
+        let mid = mul(a0, b1).add(mul(a1, b0));
+        let plo = mul(a0, b0).add(mid.and(Self::splat((1 << 26) - 1)).shl(26));
+        (acc.add(plo), mul(a1, b1).add(mid.shr(26)))
+    }
+}
+
+/// The portable kernel: [`scan`] over [`Portable`] lanes.
+#[inline(never)]
+fn run_cios52_portable(geo: Geometry, n: &[Limb], x: &[LaneRow], y: &[LaneRow], t: &mut [LaneRow]) {
+    scan::<Portable>(geo, n, x, y, t)
+}
+
+/// The AVX-512-IFMA kernel: [`scan`] over [`Ifma`] lanes. Callers must
+/// ensure this host has `avx512f` and `avx512ifma`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn run_cios52_ifma(geo: Geometry, n: &[Limb], x: &[LaneRow], y: &[LaneRow], t: &mut [LaneRow]) {
+    scan::<Ifma>(geo, n, x, y, t)
+}
+
+/// The AVX2 kernel: [`scan`] over [`Avx2`] lanes. Callers must ensure
+/// this host has `avx2`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-#[allow(unsafe_code)]
-#[allow(clippy::needless_range_loop)] // j indexes n and the SoA accumulator rows together
-unsafe fn run_cios52_avx2(geo: Geometry, n: &[Limb], x: &[Limb], y: &[Limb], t: &mut [Limb]) {
-    use core::arch::x86_64::*;
-    const W: usize = 4;
-    const HALF_BITS: u32 = 26;
-    let s = geo.s;
-    let mask52 = _mm256_set1_epi64x(DIGIT_MASK as i64);
-    let mask26 = _mm256_set1_epi64x(((1u64 << HALF_BITS) - 1) as i64);
-    let zero = _mm256_setzero_si256();
-    // n0' pre-split into 26-bit halves.
-    let n0inv_lo = _mm256_set1_epi64x((geo.n0_inv & ((1 << HALF_BITS) - 1)) as i64);
-    let n0inv_hi = _mm256_set1_epi64x((geo.n0_inv >> HALF_BITS) as i64);
-    let xp = x.as_ptr();
-    let yp = y.as_ptr();
-    let tp = t.as_mut_ptr();
-
-    // (plo, phi) of the lane-wise 52×52 product of already-split
-    // operands; see the function docs for the identity.
-    macro_rules! mul52 {
-        ($a0:expr, $a1:expr, $b:expr) => {{
-            let b0 = _mm256_and_si256($b, mask26);
-            let b1 = _mm256_srli_epi64($b, HALF_BITS as i32);
-            let ll = _mm256_mul_epu32($a0, b0);
-            let mid = _mm256_add_epi64(_mm256_mul_epu32($a0, b1), _mm256_mul_epu32($a1, b0));
-            let hh = _mm256_mul_epu32($a1, b1);
-            let plo = _mm256_add_epi64(
-                ll,
-                _mm256_slli_epi64(_mm256_and_si256(mid, mask26), HALF_BITS as i32),
-            );
-            let phi = _mm256_add_epi64(hh, _mm256_srli_epi64(mid, HALF_BITS as i32));
-            (plo, phi)
-        }};
-    }
-
-    for c in 0..MAX_LANES / W {
-        let off = c * W;
-        for i in 0..geo.full {
-            let xi = _mm256_loadu_si256(xp.add(i * MAX_LANES + off) as *const _);
-            let xi0 = _mm256_and_si256(xi, mask26);
-            let xi1 = _mm256_srli_epi64(xi, HALF_BITS as i32);
-            // Pass A.
-            let mut hi = zero;
-            for j in 0..s {
-                let yj = _mm256_loadu_si256(yp.add(j * MAX_LANES + off) as *const _);
-                let (plo, phi) = mul52!(xi0, xi1, yj);
-                let tj = _mm256_loadu_si256(tp.add(j * MAX_LANES + off) as *const _);
-                let acc = _mm256_add_epi64(_mm256_add_epi64(tj, hi), plo);
-                _mm256_storeu_si256(tp.add(j * MAX_LANES + off) as *mut _, acc);
-                hi = phi;
-            }
-            let ts = _mm256_loadu_si256(tp.add(s * MAX_LANES + off) as *const _);
-            _mm256_storeu_si256(
-                tp.add(s * MAX_LANES + off) as *mut _,
-                _mm256_add_epi64(ts, hi),
-            );
-
-            // m = t_0 · n0' mod 2⁵², from 26-bit pieces. t_0 may hold
-            // up to 54 bits, so its high half still fits 32 bits and
-            // `mul_epu32` stays exact; the `slli` wraps mod 2⁶⁴ which
-            // preserves the low 52 bits we keep.
-            let t0 = _mm256_loadu_si256(tp.add(off) as *const _);
-            let t0l = _mm256_and_si256(t0, mask26);
-            let t0h = _mm256_srli_epi64(t0, HALF_BITS as i32);
-            let q = _mm256_add_epi64(
-                _mm256_mul_epu32(t0l, n0inv_lo),
-                _mm256_slli_epi64(
-                    _mm256_add_epi64(
-                        _mm256_mul_epu32(t0l, n0inv_hi),
-                        _mm256_mul_epu32(t0h, n0inv_lo),
-                    ),
-                    HALF_BITS as i32,
-                ),
-            );
-            let m = _mm256_and_si256(q, mask52);
-            let m0 = _mm256_and_si256(m, mask26);
-            let m1 = _mm256_srli_epi64(m, HALF_BITS as i32);
-
-            // Pass B fused with the digit shift.
-            let n0 = _mm256_set1_epi64x(n[0] as i64);
-            let (plo, phi) = mul52!(m0, m1, n0);
-            let v0 = _mm256_add_epi64(t0, plo);
-            let mut carry = _mm256_add_epi64(_mm256_srli_epi64(v0, DIGIT_BITS as i32), phi);
-            for j in 1..s {
-                let nj = _mm256_set1_epi64x(n[j] as i64);
-                let (plo, phi) = mul52!(m0, m1, nj);
-                let tj = _mm256_loadu_si256(tp.add(j * MAX_LANES + off) as *const _);
-                let out = _mm256_add_epi64(_mm256_add_epi64(tj, carry), plo);
-                _mm256_storeu_si256(tp.add((j - 1) * MAX_LANES + off) as *mut _, out);
-                carry = phi;
-            }
-            let ts = _mm256_loadu_si256(tp.add(s * MAX_LANES + off) as *const _);
-            _mm256_storeu_si256(
-                tp.add((s - 1) * MAX_LANES + off) as *mut _,
-                _mm256_add_epi64(ts, carry),
-            );
-            _mm256_storeu_si256(tp.add(s * MAX_LANES + off) as *mut _, zero);
-
-            // The one normalization of this outer step.
-            let mut cv = zero;
-            for j in 0..=s {
-                let v = _mm256_add_epi64(
-                    _mm256_loadu_si256(tp.add(j * MAX_LANES + off) as *const _),
-                    cv,
-                );
-                _mm256_storeu_si256(
-                    tp.add(j * MAX_LANES + off) as *mut _,
-                    _mm256_and_si256(v, mask52),
-                );
-                cv = _mm256_srli_epi64(v, DIGIT_BITS as i32);
-            }
-        }
-
-        if geo.rem > 0 {
-            let xf = _mm256_loadu_si256(xp.add(geo.full * MAX_LANES + off) as *const _);
-            let xf0 = _mm256_and_si256(xf, mask26);
-            let xf1 = _mm256_srli_epi64(xf, HALF_BITS as i32);
-            let mut hi = zero;
-            for j in 0..s {
-                let yj = _mm256_loadu_si256(yp.add(j * MAX_LANES + off) as *const _);
-                let (plo, phi) = mul52!(xf0, xf1, yj);
-                let tj = _mm256_loadu_si256(tp.add(j * MAX_LANES + off) as *const _);
-                let acc = _mm256_add_epi64(_mm256_add_epi64(tj, hi), plo);
-                _mm256_storeu_si256(tp.add(j * MAX_LANES + off) as *mut _, acc);
-                hi = phi;
-            }
-            let ts = _mm256_loadu_si256(tp.add(s * MAX_LANES + off) as *const _);
-            _mm256_storeu_si256(
-                tp.add(s * MAX_LANES + off) as *mut _,
-                _mm256_add_epi64(ts, hi),
-            );
-
-            let rem_mask = _mm256_set1_epi64x(((1u64 << geo.rem) - 1) as i64);
-            let t0 = _mm256_loadu_si256(tp.add(off) as *const _);
-            let t0l = _mm256_and_si256(t0, mask26);
-            let t0h = _mm256_srli_epi64(t0, HALF_BITS as i32);
-            let q = _mm256_add_epi64(
-                _mm256_mul_epu32(t0l, n0inv_lo),
-                _mm256_slli_epi64(
-                    _mm256_add_epi64(
-                        _mm256_mul_epu32(t0l, n0inv_hi),
-                        _mm256_mul_epu32(t0h, n0inv_lo),
-                    ),
-                    HALF_BITS as i32,
-                ),
-            );
-            let m = _mm256_and_si256(q, rem_mask);
-            let m0 = _mm256_and_si256(m, mask26);
-            let m1 = _mm256_srli_epi64(m, HALF_BITS as i32);
-
-            // Pass C, unshifted.
-            let mut carry = zero;
-            for j in 0..s {
-                let nj = _mm256_set1_epi64x(n[j] as i64);
-                let (plo, phi) = mul52!(m0, m1, nj);
-                let tj = _mm256_loadu_si256(tp.add(j * MAX_LANES + off) as *const _);
-                let out = _mm256_add_epi64(_mm256_add_epi64(tj, carry), plo);
-                _mm256_storeu_si256(tp.add(j * MAX_LANES + off) as *mut _, out);
-                carry = phi;
-            }
-            let ts = _mm256_loadu_si256(tp.add(s * MAX_LANES + off) as *const _);
-            _mm256_storeu_si256(
-                tp.add(s * MAX_LANES + off) as *mut _,
-                _mm256_add_epi64(ts, carry),
-            );
-
-            // Normalize rows 0..=s+1, then shift right by rem bits.
-            let mut cv = zero;
-            for j in 0..=s + 1 {
-                let v = _mm256_add_epi64(
-                    _mm256_loadu_si256(tp.add(j * MAX_LANES + off) as *const _),
-                    cv,
-                );
-                _mm256_storeu_si256(
-                    tp.add(j * MAX_LANES + off) as *mut _,
-                    _mm256_and_si256(v, mask52),
-                );
-                cv = _mm256_srli_epi64(v, DIGIT_BITS as i32);
-            }
-            let shr = _mm_cvtsi32_si128(geo.rem as i32);
-            let shl = _mm_cvtsi32_si128((DIGIT_BITS as u32 - geo.rem) as i32);
-            for j in 0..=s {
-                let cur = _mm256_loadu_si256(tp.add(j * MAX_LANES + off) as *const _);
-                let upper = _mm256_loadu_si256(tp.add((j + 1) * MAX_LANES + off) as *const _);
-                let v = _mm256_or_si256(
-                    _mm256_srl_epi64(cur, shr),
-                    _mm256_sll_epi64(_mm256_and_si256(upper, rem_mask), shl),
-                );
-                _mm256_storeu_si256(tp.add(j * MAX_LANES + off) as *mut _, v);
-            }
-        }
-    }
+fn run_cios52_avx2(geo: Geometry, n: &[Limb], x: &[LaneRow], y: &[LaneRow], t: &mut [LaneRow]) {
+    scan::<Avx2>(geo, n, x, y, t)
 }
 
 #[cfg(test)]

@@ -66,9 +66,10 @@
 //! bit's write enable, so exactly the `l+2` real waves write T and the
 //! total latency stays the paper's `3l+4` cycles. See `DESIGN.md` §1.
 
-// `deny`, not `forbid`: the radix-2⁵² backend's explicit SIMD kernels
-// ([`cios52`]) carry narrowly scoped `#[allow(unsafe_code)]` for their
-// `#[target_feature]` intrinsics — everything else stays safe Rust.
+// `deny`, not `forbid`: the radix-2⁵² backend ([`cios52`]) carries three
+// narrowly scoped `#[allow(unsafe_code)]` sites, the AVX2 and IFMA
+// lane-vector impls (their intrinsics) and the kernel dispatch (the call
+// into their `#[target_feature]` wrappers); everything else stays safe Rust.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -321,3 +321,65 @@ fn every_engine_kind_roundtrips_through_fromstr() {
     }
     assert_eq!(EngineKind::ALL.len(), EngineKind::available().len());
 }
+
+/// Edge-operand sweep per radix-2⁵² kernel: every pair from
+/// {0, 1, N−1, N, 2N−1}, spread over all 64 lanes so every lane group
+/// sees them, against the largest hardware-safe modulus and the tight
+/// all-ones modulus `2^l − 1` — the operands and moduli that drive the
+/// carry-save digits closest to their headroom. Widths cover `rem = 0`
+/// ((l+2) a multiple of 52: no partial step) and `rem > 0`. Plain
+/// results must equal `mont_mul_alg2` bit for bit, hardened ones
+/// `mont_mul_alg2 mod N`.
+#[test]
+fn cios52_edge_operands_every_kernel() {
+    use montgomery_systolic::core::config::HardeningMode;
+    use montgomery_systolic::core::montgomery::mont_mul_alg2;
+    for l in [50usize, 102, 154, 51, 103, 257, 513, 1025] {
+        let safe = MontgomeryParams::new(&MontgomeryParams::max_safe_modulus(l), l);
+        let tight = MontgomeryParams::tight(&(Ubig::pow2(l) - Ubig::one()));
+        for p in [safe, tight] {
+            let n = p.n();
+            let edges = [
+                Ubig::zero(),
+                Ubig::one(),
+                n - &Ubig::one(),
+                n.clone(),
+                &p.two_n() - &Ubig::one(),
+            ];
+            let pairs: Vec<(&Ubig, &Ubig)> = edges
+                .iter()
+                .flat_map(|x| edges.iter().map(move |y| (x, y)))
+                .collect();
+            let (xs, ys): (Vec<Ubig>, Vec<Ubig>) = (0..64)
+                .map(|k| {
+                    let (x, y) = pairs[k % pairs.len()];
+                    (x.clone(), y.clone())
+                })
+                .unzip();
+            let want: Vec<Ubig> = xs
+                .iter()
+                .zip(&ys)
+                .map(|(x, y)| mont_mul_alg2(&p, x, y))
+                .collect();
+            for &kernel in Cios52Kernel::available() {
+                let mut e = AnyBatchEngine::with_cios52_kernel(p.clone(), kernel);
+                assert_eq!(
+                    e.mont_mul_batch(&xs, &ys),
+                    want,
+                    "cios52/{} l={l} N={n:x}",
+                    kernel.name()
+                );
+                e.set_hardening(HardeningMode::Hardened);
+                let got = e.mont_mul_batch(&xs, &ys);
+                for (k, w) in want.iter().enumerate() {
+                    assert_eq!(
+                        got[k],
+                        w.rem(n),
+                        "hardened cios52/{} l={l} lane {k}",
+                        kernel.name()
+                    );
+                }
+            }
+        }
+    }
+}
