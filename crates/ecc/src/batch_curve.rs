@@ -16,10 +16,13 @@
 //!   the input is the identity (`Z ≡ 0`) or 2-torsion (`Y ≡ 0`), so the
 //!   degenerate lanes come out of the unified formula already correct;
 //! * addition runs the unified formula, then patches the (rare)
-//!   exceptional lanes with the scalar reference ops from
-//!   [`BatchFieldCtx`]: identity operands copy the other point, equal
-//!   points re-dispatch to a single-lane double, inverse points produce
-//!   the identity — the same case analysis as the solo `add`.
+//!   exceptional lanes with the same case analysis as the solo `add`:
+//!   identity operands copy the other point, and equal points are
+//!   gathered into one sub-batch, doubled by one batched
+//!   [`BatchCurve::double`] and scattered back. Inverse points need no
+//!   patch: `Z3 = (…)·H` vanishes with `H ≡ 0`, so they come out as the
+//!   identity. Every multiplication, patches included, is an engine
+//!   call.
 //!
 //! **Scalar multiplication** is fixed-window over the shared
 //! windowed-scan core (`mmm_core::scan`) that also drives the RSA
@@ -30,6 +33,7 @@
 
 use crate::batch_field::BatchFieldCtx;
 use crate::curve::Point;
+use crate::curves::check_nonsingular;
 use crate::field::Fe;
 use mmm_bigint::limbs::Limb;
 use mmm_bigint::Ubig;
@@ -116,15 +120,7 @@ impl BatchCurve {
         a_plain: &Ubig,
         b_plain: &Ubig,
     ) -> Result<BatchCurve, MmmError> {
-        let p = f.p().clone();
-        let a3 = a_plain.modpow(&Ubig::from(3u64), &p);
-        let b2 = b_plain.modmul(b_plain, &p);
-        let disc = Ubig::from(4u64)
-            .modmul(&a3, &p)
-            .modadd(&Ubig::from(27u64).modmul(&b2, &p), &p);
-        if disc.is_zero() {
-            return Err(MmmError::SingularCurve);
-        }
+        check_nonsingular(f.p(), a_plain, b_plain)?;
         let coeffs = f.to_mont(&[a_plain.clone(), b_plain.clone()]);
         Ok(BatchCurve {
             a: coeffs[0].clone(),
@@ -145,30 +141,12 @@ impl BatchCurve {
         Self::try_new(f, a_plain, b_plain).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Adopts a solo [`Curve`](crate::curve::Curve)'s Montgomery-domain
-    /// coefficients (they are engine-independent for a fixed modulus).
-    pub fn from_solo(c: &crate::curve::Curve) -> BatchCurve {
-        BatchCurve {
-            a: c.a.clone(),
-            b: c.b.clone(),
-        }
-    }
-
     /// A batch of identity elements.
     pub fn identity<E: BatchMontMul>(&self, f: &mut BatchFieldCtx<E>, lanes: usize) -> PointLanes {
         PointLanes {
             x: vec![f.one_bar().clone(); lanes],
             y: vec![f.one_bar().clone(); lanes],
             z: vec![Ubig::zero(); lanes],
-        }
-    }
-
-    /// The single-lane identity element.
-    pub fn identity_lane<E: BatchMontMul>(&self, f: &BatchFieldCtx<E>) -> Point {
-        Point {
-            x: f.one_bar().clone(),
-            y: f.one_bar().clone(),
-            z: Ubig::zero(),
         }
     }
 
@@ -274,7 +252,9 @@ impl BatchCurve {
     }
 
     /// Batched point addition (`add-2007-bl`) with per-lane exception
-    /// patching (identity operands, equal points, inverse points).
+    /// patching: identity operands copy the other point, equal points
+    /// are doubled in one batched sub-batch, and inverse points leave
+    /// the formula as the identity.
     pub fn add<E: BatchMontMul>(
         &self,
         f: &mut BatchFieldCtx<E>,
@@ -332,76 +312,26 @@ impl BatchCurve {
         };
         // Patch the exceptional lanes — the same case analysis the solo
         // `add` performs up front, applied after the fact to only the
-        // lanes that need it (scalar reference ops, bit-identical to
-        // the engines).
+        // lanes that need it. Inverse lanes (H ≡ 0, r ≢ 0) need no
+        // patch: Z3 = (…)·H ≡ 0 is already the identity.
+        let mut equal = Vec::new();
         for k in 0..out.lanes() {
             if f.is_zero(&p1.z[k]) {
                 out.set_lane(k, &p2.lane(k));
             } else if f.is_zero(&p2.z[k]) {
                 out.set_lane(k, &p1.lane(k));
-            } else if f.is_zero(&h[k]) {
-                if f.is_zero(&r_half[k]) {
-                    let d = self.double_lane(f, &p1.lane(k));
-                    out.set_lane(k, &d);
-                } else {
-                    out.set_lane(k, &self.identity_lane(f));
-                }
+            } else if f.is_zero(&h[k]) && f.is_zero(&r_half[k]) {
+                equal.push(k);
+            }
+        }
+        if !equal.is_empty() {
+            let pts: Vec<Point> = equal.iter().map(|&k| p1.lane(k)).collect();
+            let doubled = self.double(f, &PointLanes::from_points(&pts));
+            for (i, &k) in equal.iter().enumerate() {
+                out.set_lane(k, &doubled.lane(i));
             }
         }
         out
-    }
-
-    /// Single-lane doubling via the scalar reference multiplication —
-    /// the exception-patching companion of [`BatchCurve::double`],
-    /// running the identical `dbl-2007-bl` chain (same early-outs as
-    /// the solo curve).
-    pub fn double_lane<E: BatchMontMul>(&self, f: &BatchFieldCtx<E>, p1: &Point) -> Point {
-        if f.is_zero(&p1.z) || f.is_zero(&p1.y) {
-            return Point {
-                x: f.one_bar().clone(),
-                y: f.one_bar().clone(),
-                z: Ubig::zero(),
-            };
-        }
-        let xx = f.lane_sqr(&p1.x);
-        let yy = f.lane_sqr(&p1.y);
-        let yyyy = f.lane_sqr(&yy);
-        let zz = f.lane_sqr(&p1.z);
-        let s = {
-            let t = f.lane_add(&p1.x, &yy);
-            let t = f.lane_sqr(&t);
-            let t = f.lane_sub(&t, &xx);
-            let t = f.lane_sub(&t, &yyyy);
-            f.lane_dbl(&t)
-        };
-        let m = {
-            let t3 = f.lane_mul_small(&xx, 3);
-            let zz2 = f.lane_sqr(&zz);
-            let azz2 = f.lane_mul(&self.a, &zz2);
-            f.lane_add(&t3, &azz2)
-        };
-        let x3 = {
-            let m2 = f.lane_sqr(&m);
-            let s2 = f.lane_dbl(&s);
-            f.lane_sub(&m2, &s2)
-        };
-        let y3 = {
-            let t = f.lane_sub(&s, &x3);
-            let t = f.lane_mul(&m, &t);
-            let y8 = f.lane_mul_small(&yyyy, 8);
-            f.lane_sub(&t, &y8)
-        };
-        let z3 = {
-            let t = f.lane_add(&p1.y, &p1.z);
-            let t = f.lane_sqr(&t);
-            let t = f.lane_sub(&t, &yy);
-            f.lane_sub(&t, &zz)
-        };
-        Point {
-            x: x3,
-            y: y3,
-            z: z3,
-        }
     }
 
     /// Batched fixed-window scalar multiplication: lane `k` of the
@@ -418,30 +348,7 @@ impl BatchCurve {
         window: Option<usize>,
     ) -> PointLanes {
         assert_eq!(ks.len(), base.lanes(), "one scalar per lane");
-        self.scalar_mul_set(f, &ScalarSet::PerLane(ks), base, window)
-    }
-
-    /// Batched scalar multiplication with one scalar shared by every
-    /// lane — `[k]·P[j]` for each lane `j` (the ECDH server's shape
-    /// when one ephemeral key meets many peer points is the transpose;
-    /// this one serves fixed-base multi-point workloads).
-    pub fn scalar_mul_shared<E: BatchMontMul>(
-        &self,
-        f: &mut BatchFieldCtx<E>,
-        k: &Ubig,
-        base: &PointLanes,
-        window: Option<usize>,
-    ) -> PointLanes {
-        self.scalar_mul_set(f, &ScalarSet::Shared(k), base, window)
-    }
-
-    fn scalar_mul_set<E: BatchMontMul>(
-        &self,
-        f: &mut BatchFieldCtx<E>,
-        ks: &ScalarSet<'_>,
-        base: &PointLanes,
-        window: Option<usize>,
-    ) -> PointLanes {
+        let ks = ScalarSet::PerLane(ks);
         let lanes = base.lanes();
         let t = ks.max_bit_len();
         let window = window.unwrap_or_else(|| {
@@ -457,17 +364,21 @@ impl BatchCurve {
             "window width {window} not in 1..=8"
         );
         let hardened = f.engine().hardening().is_hardened();
-        // Table of [d]P lane batches for d = 0 .. 2^w − 1; the chain
-        // P + [d−1]P exercises the patched add (d = 2 hits the
-        // equal-points lane on every lane).
+        // Table of [d]P lane batches for d = 0 .. 2^w − 1: [2]P is a
+        // batched double, then each [d]P = [d−1]P + P, which is
+        // exceptional only on lanes where P has small order.
         let table: Vec<PointLanes> = if t == 0 {
             Vec::new()
         } else {
             let mut table = Vec::with_capacity(1 << window);
             table.push(self.identity(f, lanes));
             table.push(base.clone());
-            for _ in 2..(1usize << window) {
-                let next = self.add(f, table.last().unwrap(), base);
+            for d in 2..(1usize << window) {
+                let next = if d == 2 {
+                    self.double(f, base)
+                } else {
+                    self.add(f, &table[d - 1], base)
+                };
                 table.push(next);
             }
             table
@@ -483,7 +394,7 @@ impl BatchCurve {
             hardened,
             sel_buf,
         };
-        run_windowed_scan(&mut client, lanes, ks, window, hardened);
+        run_windowed_scan(&mut client, lanes, &ks, window, hardened);
         let acc = client.acc.take();
         acc.unwrap_or_else(|| self.identity(f, lanes))
     }
@@ -521,9 +432,11 @@ impl BatchCurve {
 /// gathers each lane's table entry by its window digit and performs
 /// one batched addition. Digit 0 gathers the identity, which the
 /// patched add turns into a copy — the point analogue of multiplying
-/// by 1̄. Every table read goes through [`select_entry`], once per
-/// coordinate, so hardened sessions sweep the full table exactly like
-/// the modexp scan.
+/// by 1̄ — and a lane whose accumulator equals its gathered entry is
+/// doubled in the add's batched equal-points sub-batch. Every table
+/// read goes through [`select_entry`], once per coordinate, so
+/// hardened sessions sweep the full table exactly like the modexp
+/// scan.
 struct PointScanClient<'c, 'f, E: BatchMontMul> {
     curve: &'c BatchCurve,
     f: &'f mut BatchFieldCtx<E>,
@@ -611,9 +524,6 @@ mod tests {
         let _ = bf;
         assert_eq!(bc.a, sc.a);
         assert_eq!(bc.b, sc.b);
-        let via = BatchCurve::from_solo(&sc);
-        assert_eq!(via.a, bc.a);
-        assert_eq!(via.b, bc.b);
     }
 
     #[test]
@@ -661,7 +571,7 @@ mod tests {
         }
 
         // Add the batch to splat(G): exercises identity (lane 0),
-        // equal-points (lane 1) and inverse-points (lane 4) patches.
+        // equal-points (lane 1) and inverse-points (lane 4) lanes.
         let gs = PointLanes::splat(&g, pts.len());
         let sum = bc.add(&mut bf, &lanes, &gs);
         for (k, pt) in pts.iter().enumerate() {
@@ -672,6 +582,34 @@ mod tests {
                 "add lane {k}"
             );
         }
+    }
+
+    #[test]
+    fn equal_lanes_are_doubled_in_one_batched_call() {
+        // Lanes 0 and 2 add a point to itself, lane 1 is generic: the
+        // add makes its own 16 engine calls plus one batched double of
+        // the two equal lanes, whose coordinates are exactly the
+        // batched double's.
+        let params = MontgomeryParams::hardware_safe(&Ubig::from(97u64));
+        let call = mmm_core::cost::mmm_cycles(params.l());
+        let mut bf = BatchFieldCtx::new(EngineKind::BitSliced.build(params));
+        let bc = BatchCurve::try_new(&mut bf, &Ubig::from(2u64), &Ubig::from(3u64)).unwrap();
+        let (_, _, mut sf, sc, g) = setup();
+        let g2 = sc.double(&mut sf, &g);
+        let g3 = sc.add(&mut sf, &g, &g2);
+        let p1 = PointLanes::from_points(&[g.clone(), g.clone(), g2.clone()]);
+        let p2 = PointLanes::from_points(&[g.clone(), g2.clone(), g2.clone()]);
+        let before = bf.engine().consumed_cycles().unwrap();
+        let sum = bc.add(&mut bf, &p1, &p2);
+        let calls = (bf.engine().consumed_cycles().unwrap() - before) / call;
+        assert_eq!(calls as usize, ADD_FIELD_MULS + DOUBLE_FIELD_MULS);
+        let doubled = bc.double(&mut bf, &PointLanes::from_points(&[g.clone(), g2]));
+        assert_eq!(sum.lane(0), doubled.lane(0));
+        assert_eq!(sum.lane(2), doubled.lane(1));
+        assert_eq!(
+            sc.to_affine(&mut sf, &sum.lane(1)),
+            sc.to_affine(&mut sf, &g3)
+        );
     }
 
     #[test]
@@ -702,17 +640,6 @@ mod tests {
         let got = bc.scalar_mul(&mut bf, &ks, &base, None);
         let aff = bc.to_affine(&mut bf, &got);
         assert!(aff.iter().all(Option::is_none));
-    }
-
-    #[test]
-    fn shared_scalar_matches_per_lane() {
-        let (mut bf, bc, _, _, g) = setup();
-        let k = Ubig::from(29u64);
-        let base = PointLanes::splat(&g, 4);
-        let shared = bc.scalar_mul_shared(&mut bf, &k, &base, None);
-        let ks = vec![k.clone(); 4];
-        let per = bc.scalar_mul(&mut bf, &ks, &base, None);
-        assert_eq!(bc.to_affine(&mut bf, &shared), bc.to_affine(&mut bf, &per));
     }
 
     #[test]

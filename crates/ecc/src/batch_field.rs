@@ -13,16 +13,14 @@
 //! Inversion uses **Montgomery's simultaneous-inversion trick**: a
 //! prefix chain of Montgomery products, a *single* `modinv`, then a
 //! backward sweep — one field inversion amortized over the whole batch
-//! (the dominant cost of the batched affine conversion).
-//!
-//! The exception-patching companion ops (`lane_*`) run the reference
-//! `mont_mul_alg2` on a single lane; the engines are bit-identical to
-//! it by contract, so patched lanes cannot be distinguished from
-//! engine-computed ones.
+//! (the dominant cost of the batched affine conversion). The chain is
+//! sequential, so its products are one-lane engine calls: every
+//! multiplication in this module goes through the engine, under its
+//! verify policy, hardening and fault hooks.
 
 use crate::field::Fe;
 use mmm_bigint::Ubig;
-use mmm_core::montgomery::{mont_mul_alg2, MontgomeryParams};
+use mmm_core::montgomery::MontgomeryParams;
 use mmm_core::traits::BatchMontMul;
 
 /// Batch field context: a [`BatchMontMul`] engine plus the constants
@@ -56,16 +54,6 @@ impl<E: BatchMontMul> BatchFieldCtx<E> {
     /// The field prime.
     pub fn p(&self) -> &Ubig {
         self.engine.params().n()
-    }
-
-    /// Largest batch one engine call accepts.
-    pub fn max_lanes(&self) -> usize {
-        self.engine.max_lanes()
-    }
-
-    /// Engine name, for reports.
-    pub fn engine_name(&self) -> &'static str {
-        self.engine.name()
     }
 
     /// The Montgomery representation of 1 (`R mod p`) — the domain's
@@ -150,82 +138,47 @@ impl<E: BatchMontMul> BatchFieldCtx<E> {
     /// Lane-wise **simultaneous inversion** (Montgomery's trick),
     /// entirely in the Montgomery domain: `None` for zero lanes.
     ///
-    /// Cost: `3(k−1)` Montgomery multiplications plus **one** `modinv`
-    /// for `k` nonzero lanes, instead of `k` inversions. The prefix and
-    /// backward sweeps run the scalar reference multiplication so the
-    /// `< 2N` residue bound is maintained throughout.
+    /// Cost: `3(k−1) + 2` one-lane engine calls plus **one** `modinv`
+    /// for `k` nonzero lanes, instead of `k` inversions.
     pub fn inv(&mut self, a: &[Fe]) -> Vec<Option<Fe>> {
-        let params = self.engine.params().clone();
         let nz: Vec<usize> = (0..a.len()).filter(|&k| !self.is_zero(&a[k])).collect();
         let mut out: Vec<Option<Fe>> = vec![None; a.len()];
-        if nz.is_empty() {
+        let Some((&first, rest)) = nz.split_first() else {
             return out;
-        }
+        };
         // Prefix chain of Montgomery products over the nonzero lanes:
         // prefix[i] = ā₀·ā₁⋯āᵢ (Montgomery domain, < 2N).
-        let mut prefix: Vec<Fe> = Vec::with_capacity(nz.len());
-        let mut acc = a[nz[0]].clone();
-        prefix.push(acc.clone());
-        for &k in &nz[1..] {
-            acc = mont_mul_alg2(&params, &acc, &a[k]);
-            prefix.push(acc.clone());
+        let mut prefix = vec![a[first].clone()];
+        for &k in rest {
+            let next = self.mul_one_lane(prefix.last().expect("seeded"), &a[k]);
+            prefix.push(next);
         }
         // One inversion of the total product.
-        let total_plain = {
-            let v = mont_mul_alg2(&params, &acc, &Ubig::one());
-            if &v >= self.p() {
-                v - self.p()
-            } else {
-                v
-            }
-        };
-        let Some(inv_plain) = total_plain.modinv(self.p()) else {
+        let total = self.from_mont(&prefix[prefix.len() - 1..]);
+        let Some(inv_plain) = total[0].modinv(self.p()) else {
             // Non-prime modulus with a lane sharing a factor: fall back
             // to per-lane inversion so the batch still answers.
             for &k in &nz {
-                out[k] = self.lane_inv(&a[k]);
+                let plain = self.from_mont(std::slice::from_ref(&a[k]));
+                out[k] = plain[0]
+                    .modinv(self.p())
+                    .map(|v| self.to_mont(&[v]).remove(0));
             }
             return out;
         };
         // Re-enter the domain, then sweep backwards stripping one lane
         // per step: u = (ā₀⋯āᵢ)⁻¹ before visiting lane i.
-        let mut u = mont_mul_alg2(&params, &inv_plain, &self.r2);
-        for i in (0..nz.len()).rev() {
-            let k = nz[i];
-            if i == 0 {
-                out[k] = Some(u.clone());
-            } else {
-                out[k] = Some(mont_mul_alg2(&params, &u, &prefix[i - 1]));
-                u = mont_mul_alg2(&params, &u, &a[k]);
-            }
+        let mut u = self.to_mont(&[inv_plain]).remove(0);
+        for i in (1..nz.len()).rev() {
+            out[nz[i]] = Some(self.mul_one_lane(&u, &prefix[i - 1]));
+            u = self.mul_one_lane(&u, &a[nz[i]]);
         }
+        out[first] = Some(u);
         out
     }
 
-    /// Cycle count consumed by the engine so far, if cycle-accurate.
-    pub fn consumed_cycles(&self) -> Option<u64> {
-        self.engine.consumed_cycles()
-    }
-
-    // ------------------------------------------------------------------
-    // Single-lane companions — the exception-patching ops. These run
-    // the reference Algorithm 2 (`mont_mul_alg2`), which every engine
-    // is bit-identical to, so a patched lane is indistinguishable from
-    // an engine-computed one.
-    // ------------------------------------------------------------------
-
-    /// Single-lane domain multiplication via the reference algorithm.
-    pub fn lane_mul(&self, a: &Fe, b: &Fe) -> Fe {
-        mont_mul_alg2(self.engine.params(), a, b)
-    }
-
-    /// Single-lane domain squaring via the reference algorithm.
-    pub fn lane_sqr(&self, a: &Fe) -> Fe {
-        mont_mul_alg2(self.engine.params(), a, a)
-    }
-
-    /// Single-lane domain addition.
-    pub fn lane_add(&self, a: &Fe, b: &Fe) -> Fe {
+    /// Domain addition of one lane pair.
+    fn lane_add(&self, a: &Fe, b: &Fe) -> Fe {
         let s = a + b;
         if s >= self.two_n {
             s - &self.two_n
@@ -234,8 +187,8 @@ impl<E: BatchMontMul> BatchFieldCtx<E> {
         }
     }
 
-    /// Single-lane domain subtraction.
-    pub fn lane_sub(&self, a: &Fe, b: &Fe) -> Fe {
+    /// Domain subtraction of one lane pair.
+    fn lane_sub(&self, a: &Fe, b: &Fe) -> Fe {
         if a >= b {
             a - b
         } else {
@@ -243,14 +196,9 @@ impl<E: BatchMontMul> BatchFieldCtx<E> {
         }
     }
 
-    /// Single-lane domain doubling.
-    pub fn lane_dbl(&self, a: &Fe) -> Fe {
-        self.lane_add(a, a)
-    }
-
-    /// Single-lane multiplication by a small constant (same ladder as
-    /// the solo context, so representatives agree bit for bit).
-    pub fn lane_mul_small(&self, a: &Fe, k: u64) -> Fe {
+    /// One lane times a small constant (same ladder as the solo
+    /// context, so representatives agree bit for bit).
+    fn lane_mul_small(&self, a: &Fe, k: u64) -> Fe {
         let mut acc = Ubig::zero();
         let mut base = a.clone();
         let mut k = k;
@@ -258,38 +206,22 @@ impl<E: BatchMontMul> BatchFieldCtx<E> {
             if k & 1 == 1 {
                 acc = self.lane_add(&acc, &base);
             }
-            base = self.lane_dbl(&base);
+            base = self.lane_add(&base, &base);
             k >>= 1;
         }
         acc
     }
 
-    /// Single-lane field inversion (leaves and re-enters the domain).
-    pub fn lane_inv(&self, a: &Fe) -> Option<Fe> {
-        let params = self.engine.params();
-        let plain = {
-            let v = mont_mul_alg2(params, a, &Ubig::one());
-            if &v >= self.p() {
-                v - self.p()
-            } else {
-                v
-            }
-        };
-        let inv = plain.modinv(self.p())?;
-        Some(mont_mul_alg2(params, &inv, &self.r2))
+    /// Multiplies one lane pair in a one-lane engine call.
+    fn mul_one_lane(&mut self, a: &Fe, b: &Fe) -> Fe {
+        self.batch(std::slice::from_ref(a), std::slice::from_ref(b))
+            .remove(0)
     }
 
     /// One engine call; panics on a malformed batch (callers validate
     /// shard sizes up front).
     fn batch(&mut self, xs: &[Ubig], ys: &[Ubig]) -> Vec<Ubig> {
         self.engine.mont_mul_batch(xs, ys)
-    }
-
-    /// One engine call writing into a caller-provided buffer, for hot
-    /// loops that recycle lane allocations (the scan client's
-    /// double/combine steps).
-    pub fn mul_into(&mut self, xs: &[Fe], ys: &[Fe], out: &mut Vec<Fe>) {
-        self.engine.mont_mul_batch_into(xs, ys, out);
     }
 }
 
@@ -366,8 +298,8 @@ mod tests {
             match (&invs[k], &solo) {
                 (Some(got), Some(want)) => {
                     // Same residue; check via the product being 1.
-                    let prod = bf.lane_mul(&lanes[k], got);
-                    assert_eq!(bf.from_mont(&[prod])[0], Ubig::one(), "lane {k}");
+                    let prod = bf.mul(&lanes[k..=k], std::slice::from_ref(got));
+                    assert_eq!(bf.from_mont(&prod)[0], Ubig::one(), "lane {k}");
                     let prod_solo = sf.mul(&xm, want);
                     assert_eq!(sf.from_mont(&prod_solo), Ubig::one(), "solo lane {k}");
                 }
@@ -381,6 +313,28 @@ mod tests {
     }
 
     #[test]
+    fn one_lane_calls_match_batch_lanes_and_are_counted() {
+        // The bit-sliced kernel counts 3l+4 cycles per engine call, so
+        // the counter reads how many calls the inversion made: every
+        // product of its chain is a one-lane engine call.
+        let params = MontgomeryParams::hardware_safe(&Ubig::from(97u64));
+        let call = mmm_core::cost::mmm_cycles(params.l());
+        let mut bf = BatchFieldCtx::new(EngineKind::BitSliced.build(params));
+        let xs: Vec<Ubig> = (1..9u64).map(|v| Ubig::from(v * 11 % 97)).collect();
+        let ys: Vec<Ubig> = (1..9u64).map(|v| Ubig::from(v * 29 % 97)).collect();
+        let (xm, ym) = (bf.to_mont(&xs), bf.to_mont(&ys));
+        let mul = bf.mul(&xm, &ym);
+        for k in 0..xs.len() {
+            assert_eq!(mul[k], bf.mul(&xm[k..=k], &ym[k..=k])[0], "lane {k}");
+        }
+        let before = bf.engine().consumed_cycles().unwrap();
+        let invs = bf.inv(&xm);
+        let calls = (bf.engine().consumed_cycles().unwrap() - before) / call;
+        assert_eq!(calls, 3 * (xs.len() as u64 - 1) + 2);
+        assert!(invs.iter().all(Option::is_some));
+    }
+
+    #[test]
     fn inversion_falls_back_on_composite_modulus() {
         // 91 = 7·13: lanes divisible by 7 are non-invertible, others
         // must still invert through the per-lane fallback.
@@ -391,22 +345,7 @@ mod tests {
         assert!(invs[0].is_some());
         assert!(invs[1].is_none(), "gcd(7, 91) > 1");
         assert!(invs[2].is_some());
-        let prod = bf.lane_mul(&lanes[0], invs[0].as_ref().unwrap());
-        assert_eq!(bf.from_mont(&[prod])[0], Ubig::one());
-    }
-
-    #[test]
-    fn lane_companions_match_batch_ops() {
-        let mut bf = batch_ctx(97);
-        let xs: Vec<Ubig> = (0..8u64).map(|v| Ubig::from(v * 11 % 97)).collect();
-        let ys: Vec<Ubig> = (0..8u64).map(|v| Ubig::from(v * 29 % 97)).collect();
-        let xm = bf.to_mont(&xs);
-        let ym = bf.to_mont(&ys);
-        let mul = bf.mul(&xm, &ym);
-        let sq = bf.sqr(&xm);
-        for k in 0..xs.len() {
-            assert_eq!(mul[k], bf.lane_mul(&xm[k], &ym[k]), "lane {k}");
-            assert_eq!(sq[k], bf.lane_sqr(&xm[k]), "lane {k}");
-        }
+        let prod = bf.mul(&lanes[..1], std::slice::from_ref(invs[0].as_ref().unwrap()));
+        assert_eq!(bf.from_mont(&prod)[0], Ubig::one());
     }
 }

@@ -6,6 +6,7 @@
 //! valid for arbitrary `a`. A point is `(X : Y : Z)` with affine
 //! `x = X/Z²`, `y = Y/Z³`; the identity is any point with `Z ≡ 0`.
 
+use crate::curves::check_nonsingular;
 use crate::field::{Fe, FieldCtx};
 use mmm_bigint::Ubig;
 use mmm_core::error::MmmError;
@@ -50,15 +51,7 @@ impl Curve {
         a_plain: &Ubig,
         b_plain: &Ubig,
     ) -> Result<Curve, MmmError> {
-        let p = f.p().clone();
-        let a3 = a_plain.modpow(&Ubig::from(3u64), &p);
-        let b2 = b_plain.modmul(b_plain, &p);
-        let disc = Ubig::from(4u64)
-            .modmul(&a3, &p)
-            .modadd(&Ubig::from(27u64).modmul(&b2, &p), &p);
-        if disc.is_zero() {
-            return Err(MmmError::SingularCurve);
-        }
+        check_nonsingular(f.p(), a_plain, b_plain)?;
         Ok(Curve {
             a: f.to_mont(a_plain),
             b: f.to_mont(b_plain),

@@ -7,6 +7,7 @@
 //! through the same code path.
 
 use mmm_bigint::Ubig;
+use mmm_core::error::MmmError;
 
 /// A short-Weierstrass curve group specification: field prime,
 /// coefficients, base point and its (prime) order — everything the
@@ -43,6 +44,22 @@ impl CurveSpec {
             .modadd(&self.a.modmul(x, &self.p), &self.p)
             .modadd(&self.b.rem(&self.p), &self.p);
         y2 == rhs
+    }
+}
+
+/// Rejects a singular curve `y² = x³ + ax + b` over GF(p): one whose
+/// discriminant `4a³ + 27b²` vanishes mod `p` is
+/// [`MmmError::SingularCurve`]. Coefficients are plain.
+pub(crate) fn check_nonsingular(p: &Ubig, a: &Ubig, b: &Ubig) -> Result<(), MmmError> {
+    let a3 = a.modpow(&Ubig::from(3u64), p);
+    let b2 = b.modmul(b, p);
+    let disc = Ubig::from(4u64)
+        .modmul(&a3, p)
+        .modadd(&Ubig::from(27u64).modmul(&b2, p), p);
+    if disc.is_zero() {
+        Err(MmmError::SingularCurve)
+    } else {
+        Ok(())
     }
 }
 

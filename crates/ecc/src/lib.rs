@@ -34,9 +34,9 @@
 //!
 //! Every batched lane is bit-identical to what the solo [`curve`]
 //! path produces on the same inputs — the engines share one
-//! Algorithm-2 contract, and the batch layer patches exceptional
-//! lanes (identity, equal points, inverse points) with the scalar
-//! reference multiplication.
+//! Algorithm-2 contract, and the batch layer multiplies only through
+//! its engine, exceptional lanes (identity, equal points, inverse
+//! points) and inversion included.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

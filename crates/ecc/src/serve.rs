@@ -30,7 +30,7 @@
 use crate::batch_curve::{BatchCurve, PointLanes};
 use crate::batch_field::BatchFieldCtx;
 use crate::curve::Point;
-use crate::curves::CurveSpec;
+use crate::curves::{check_nonsingular, CurveSpec};
 use mmm_bigint::Ubig;
 use mmm_core::error::MmmError;
 use mmm_core::montgomery::MontgomeryParams;
@@ -108,13 +108,7 @@ impl CurveSession {
     /// the pooled parameters (which hardware-safe widths never
     /// trigger).
     pub fn new(spec: CurveSpec, config: EngineConfig) -> Result<Self, MmmError> {
-        let p = &spec.p;
-        let disc = Ubig::from(4u64)
-            .modmul(&spec.a.modpow(&Ubig::from(3u64), p), p)
-            .modadd(&Ubig::from(27u64).modmul(&spec.b.modmul(&spec.b, p), p), p);
-        if disc.is_zero() {
-            return Err(MmmError::SingularCurve);
-        }
+        check_nonsingular(&spec.p, &spec.a, &spec.b)?;
         if !spec.on_curve(&spec.gx, &spec.gy) {
             return Err(MmmError::PointNotOnCurve { lane: 0 });
         }

@@ -219,21 +219,47 @@ fn word_boundary_primes_match_solo_and_cross_backend() {
 }
 
 // ---------------------------------------------------------------------
-// Exception lanes inside batches: identity, 2-torsion-free doubling
-// chain, equal points, inverse points — each patched lane must agree
-// with the solo case analysis.
+// Exception lanes inside batches: identity operands, equal points and
+// inverse points scattered over a 64-lane add, and base points of
+// order 2, 3 and 4 whose table build and scan hit them — each lane
+// must agree with the solo case analysis.
 // ---------------------------------------------------------------------
 
 #[test]
 fn exceptional_lanes_match_solo_case_analysis() {
+    // One letter per lane: `i`/`j` = identity first/second operand,
+    // `o` = both identity, `e` = equal points, `n` = inverse points,
+    // `g` = generic. Lane 0 and lane 63 are exceptional, and equal
+    // lanes sit next to each other and next to identity lanes.
+    const MIX: &[u8; 64] = b"ieeggnggjgeggognggeeeggnjgggiegggngjeggognggeeggjgggnieggnggojge";
     let p = Ubig::from(10007u64);
     let (mut sf, sc, g) = solo_fixture(&p);
     let id = sc.identity(&mut sf);
-    let g2 = sc.double(&mut sf, &g);
-    let (gx, gy) = sc.to_affine(&mut sf, &g).unwrap();
-    let neg = sc.point(&mut sf, &gx, &(&p - &gy));
-    let pts = vec![id.clone(), g.clone(), g2.clone(), neg.clone(), g.clone()];
-    let others = vec![g.clone(), g.clone(), g.clone(), g.clone(), id.clone()];
+    // multiples[m] = [m]G.
+    let mut multiples = vec![id.clone(), g.clone()];
+    for _ in 2..80 {
+        let next = sc.add(&mut sf, multiples.last().unwrap(), &g);
+        multiples.push(next);
+    }
+    let neg = |sf: &mut FieldCtx<SoftwareEngine>, pt: &Point| {
+        let (x, y) = sc.to_affine(sf, pt).expect("not the identity");
+        sc.point(sf, &x, &(&p - &y))
+    };
+    let (mut pts, mut others) = (Vec::new(), Vec::new());
+    for (k, kind) in MIX.iter().enumerate() {
+        let pk = multiples[k % 7 + 1].clone();
+        let (a, b) = match kind {
+            b'i' => (id.clone(), pk),
+            b'j' => (pk, id.clone()),
+            b'o' => (id.clone(), id.clone()),
+            b'e' => (pk.clone(), pk),
+            b'n' => (neg(&mut sf, &pk), pk),
+            b'g' => (pk, multiples[k + 9].clone()),
+            _ => unreachable!("lane kind {kind}"),
+        };
+        pts.push(a);
+        others.push(b);
+    }
     let solo: Vec<Option<(Ubig, Ubig)>> = pts
         .iter()
         .zip(&others)
@@ -242,14 +268,93 @@ fn exceptional_lanes_match_solo_case_analysis() {
             sc.to_affine(&mut sf, &r)
         })
         .collect();
+    assert!(
+        solo[0].is_some() && solo[5].is_none(),
+        "the mix is exceptional"
+    );
+    let (lhs, rhs) = (
+        PointLanes::from_points(&pts),
+        PointLanes::from_points(&others),
+    );
     for kind in EngineKind::ALL {
-        let (mut bf, bc) = batch_fixture(&p, kind);
-        let sum = bc.add(
-            &mut bf,
-            &PointLanes::from_points(&pts),
-            &PointLanes::from_points(&others),
-        );
-        assert_eq!(bc.to_affine(&mut bf, &sum), solo, "kind={kind:?}");
+        for mode in [HardeningMode::Off, HardeningMode::Hardened] {
+            let (mut bf, bc) = batch_fixture(&p, kind);
+            bf.engine_mut().set_hardening(mode);
+            let sum = bc.add(&mut bf, &lhs, &rhs);
+            assert_eq!(bc.to_affine(&mut bf, &sum), solo, "kind={kind:?} {mode:?}");
+        }
+    }
+}
+
+/// A curve over GF(97) with base points of order 2, 3 and 4, found by
+/// brute force over `b` (with `a = 2`) and the points of each curve.
+fn small_order_fixture() -> (FieldCtx<SoftwareEngine>, Curve, [Point; 3], Ubig, Ubig) {
+    let p = Ubig::from(97u64);
+    let a = Ubig::from(2u64);
+    let params = MontgomeryParams::hardware_safe(&p);
+    let mut f = FieldCtx::new(SoftwareEngine::new(params));
+    for b in (1..97u64).map(Ubig::from) {
+        let Ok(curve) = Curve::try_new(&mut f, &a, &b) else {
+            continue;
+        };
+        // by_order[n − 1] is the first point found of order n ≤ 4.
+        let mut by_order: [Option<Point>; 4] = Default::default();
+        for x in 0..97u64 {
+            let Some(pt) = curve.lift_x(&mut f, &Ubig::from(x)) else {
+                continue;
+            };
+            // Walks q = [n]P for n = 1, 2, 3, 4.
+            let mut q = pt.clone();
+            for slot in &mut by_order {
+                if f.is_zero(&q.z) {
+                    slot.get_or_insert(pt.clone());
+                    break;
+                }
+                q = curve.add(&mut f, &q, &pt);
+            }
+        }
+        if let [_, Some(p2), Some(p3), Some(p4)] = by_order {
+            return (f, curve, [p2, p3, p4], a, b);
+        }
+    }
+    panic!("no curve over GF(97) with a = 2 has points of order 2, 3 and 4");
+}
+
+#[test]
+fn small_order_base_points_match_solo() {
+    // Table entries [d]P of a point of order 2, 3 or 4 are the identity,
+    // an inverse pair or an equal pair, so the table build and the scan
+    // run every exceptional lane of the batched addition.
+    let (mut sf, sc, small, a, b) = small_order_fixture();
+    let p = sf.p().clone();
+    let (mut bases, mut ks) = (Vec::new(), Vec::new());
+    for pt in &small {
+        for k in 0..9u64 {
+            bases.push(pt.clone());
+            ks.push(Ubig::from(k * 5 + k / 3));
+        }
+    }
+    let solo: Vec<Option<(Ubig, Ubig)>> = ks
+        .iter()
+        .zip(&bases)
+        .map(|(k, pt)| {
+            let r = sc.scalar_mul(&mut sf, k, pt);
+            sc.to_affine(&mut sf, &r)
+        })
+        .collect();
+    let base = PointLanes::from_points(&bases);
+    for kind in EngineKind::ALL {
+        let params = MontgomeryParams::hardware_safe(&p);
+        let mut bf = BatchFieldCtx::new(kind.build(params));
+        let bc = BatchCurve::try_new(&mut bf, &a, &b).unwrap();
+        for w in 1..=4usize {
+            let acc = bc.scalar_mul(&mut bf, &ks, &base, Some(w));
+            assert_eq!(
+                bc.to_affine(&mut bf, &acc),
+                solo,
+                "kind={kind:?} window={w}"
+            );
+        }
     }
 }
 
@@ -298,8 +403,8 @@ fn simultaneous_inversion_at_word_boundaries() {
             if plain[k].is_zero() {
                 assert!(inv.is_none(), "prime={name} lane {k}");
             } else {
-                let prod = bf.lane_mul(&lanes[k], inv.as_ref().unwrap());
-                let back = bf.from_mont(&[prod]);
+                let prod = bf.mul(&lanes[k..=k], std::slice::from_ref(inv.as_ref().unwrap()));
+                let back = bf.from_mont(&prod);
                 assert_eq!(back[0], Ubig::one(), "prime={name} lane {k}");
             }
         }
